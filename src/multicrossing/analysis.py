@@ -15,6 +15,7 @@ from .graphs import (
     GraphError,
     Orientation,
     UndirectedGraph,
+    _bits,
     exact_coloring,
     is_bipartite,
     max_antichain,
@@ -74,19 +75,19 @@ def _lexmin_max_independent_set(gamma: UndirectedGraph, size: int, mis_size) -> 
     Greedy over sorted names; a candidate joins when some maximum set
     extends the current choice using only later, compatible candidates.
     """
-    order = sorted(gamma.vertices)
+    vs, adj = gamma.vertices, gamma.adj
+    later = (1 << len(vs)) - 1  # candidates not yet considered
+    blocked = 0  # neighbours of the chosen candidates
     chosen: list[str] = []
-    for i, c in enumerate(order):
-        if any(gamma.has_edge(c, x) for x in chosen):
+    for c in sorted(range(len(vs)), key=vs.__getitem__):
+        later ^= 1 << c
+        if blocked >> c & 1:
             continue
-        pool = [
-            v
-            for v in order[i + 1:]
-            if not gamma.has_edge(v, c) and not any(gamma.has_edge(v, x) for x in chosen)
-        ]
-        attainable = len(chosen) + 1 + (mis_size(gamma.induced(pool)) if pool else 0)
-        if attainable >= size:
-            chosen.append(c)
+        pool = later & ~(blocked | adj[c])
+        extra = mis_size(gamma.induced([vs[v] for v in _bits(pool)])) if pool else 0
+        if len(chosen) + 1 + extra >= size:
+            chosen.append(vs[c])
+            blocked |= adj[c]
         if len(chosen) == size:
             break
     if len(chosen) != size:

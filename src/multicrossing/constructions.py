@@ -7,9 +7,16 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import combinations
 
 from .elections import Election, multicrossing_graph, restrict
-from .graphs import GraphError, PermutationDiagram, UndirectedGraph, vertex_pair
+from .graphs import (
+    GraphError,
+    PermutationDiagram,
+    UndirectedGraph,
+    _linear_order,
+    vertex_pair,
+)
 
 
 class ConstructionError(RuntimeError):
@@ -63,10 +70,7 @@ def implement_clique(vertices) -> ImplementationResult:
     vs = tuple(vertices)
     vote = tuple(vs)
     rev = tuple(reversed(vs))
-    target = UndirectedGraph(
-        vs, [(vs[i], vs[j]) for i in range(len(vs)) for j in range(i + 1, len(vs))]
-    )
-    return _finish(vs, [vote, rev, vote], target)
+    return _finish(vs, [vote, rev, vote], UndirectedGraph(vs).complement())
 
 
 def _path_votes(s: int) -> tuple[list[int], list[int]]:
@@ -183,23 +187,9 @@ def _rebase_witness(edges, vertices, first) -> tuple[str, ...] | None:
     order; None when the induced tournament is cyclic, i.e. no witness
     with this first permutation exists.
     """
-    pos = {v: i for i, v in enumerate(first)}
-    indeg = {v: 0 for v in vertices}
-    arcs = []
-    for i, u in enumerate(first):
-        for v in first[i + 1:]:
-            if vertex_pair(u, v) in edges:
-                arcs.append((v, u))
-                indeg[u] += 1
-            else:
-                arcs.append((u, v))
-                indeg[v] += 1
-    order = sorted(vertices, key=lambda v: (indeg[v], pos[v]))
-    rank = {v: i for i, v in enumerate(order)}
-    for a, b in arcs:
-        if rank[a] >= rank[b]:
-            return None
-    return tuple(order)
+    arcs = [(v, u) if vertex_pair(u, v) in edges else (u, v)
+            for u, v in combinations(first, 2)]
+    return _linear_order(arcs, vertices)
 
 
 def intersect_implementations(d1: PermutationDiagram,

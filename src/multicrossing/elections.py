@@ -157,56 +157,53 @@ def crossing_sequence(e: Election, a: str, b: str) -> CrossingSequence:
     for c in (a, b):
         if c not in e.candidates:
             raise ElectionError(f"unknown candidate {c!r}")
-    signs = []
-    for vote in e.votes:
-        pos = {x: i for i, x in enumerate(vote)}
-        signs.append(pos[a] < pos[b])
-    return CrossingSequence((a, b), tuple(signs))
+    signs = tuple(vote.index(a) < vote.index(b) for vote in e.votes)
+    return CrossingSequence((a, b), signs)
+
+
+def _crossing_rows(e: Election):
+    """Yield (a, flips) for each candidate index a < m-1.
+
+    flips[k, j] is True when voters k+1 and k+2 (1-based) disagree on
+    candidate a against candidate a+1+j, so a column sum counts that
+    pair's crossings. One row at a time keeps memory at O(n * m).
+    """
+    idx = {c: i for i, c in enumerate(e.candidates)}
+    ballots = np.array([[idx[c] for c in vote] for vote in e.votes])
+    pos = np.argsort(ballots, axis=1)  # pos[voter][candidate] = rank
+    for a in range(e.m - 1):
+        before = pos[:, a, None] < pos[:, a + 1:]
+        yield a, before[:-1] != before[1:]
 
 
 def is_single_crossing(e: Election):
     """Check that every pair crosses at most once.
 
     Returns (True, None) or (False, (pair, (i, j, k))) where the 1-based
-    voters i < j < k witness the double crossing of the pair.
+    voters i < j < k witness the double crossing of the pair: the first
+    multi-crossing pair in candidate order, at its first two crossings.
     """
-    votes_pos = [e.positions(i) for i in range(1, e.n + 1)]
-    for ai in range(e.m):
-        for bi in range(ai + 1, e.m):
-            a, b = e.candidates[ai], e.candidates[bi]
-            signs = [pos[a] < pos[b] for pos in votes_pos]
-            first = next((i for i in range(1, e.n) if signs[i] != signs[i - 1]), None)
-            if first is None:
-                continue
-            second = next(
-                (i for i in range(first + 1, e.n) if signs[i] != signs[i - 1]), None
-            )
-            if second is not None:
-                witness = (first, first + 1, second + 1)  # 1-based voters
-                return False, (vertex_pair(a, b), witness)
+    for a, flips in _crossing_rows(e):
+        multi = np.flatnonzero(flips.sum(axis=0) >= 2)
+        if multi.size:
+            j = int(multi[0])
+            f, g = (int(x) for x in np.flatnonzero(flips[:, j])[:2])
+            pair = vertex_pair(e.candidates[a], e.candidates[a + 1 + j])
+            return False, (pair, (f + 1, f + 2, g + 2))
     return True, None
 
 
 def multicrossing_graph(e: Election) -> UndirectedGraph:
     """Graph on the candidates with an edge for every multi-crossing pair.
 
-    Plain O(n * m^2) pairwise scan, vectorised: per-voter position
-    arrays, pairwise order booleans, adjacent sign flips summed per pair.
+    O(n * m^2) pairwise scan, vectorised one candidate row at a time; the
+    multi-crossing bits of each row are packed into adjacency bitmasks.
     """
-    m, n = e.m, e.n
-    if m == 1:
-        return UndirectedGraph(e.candidates, [])
-    idx = {c: i for i, c in enumerate(e.candidates)}
-    ballots = np.array([[idx[c] for c in vote] for vote in e.votes])
-    pos = np.argsort(ballots, axis=1)  # pos[voter][candidate] = rank
-    ai, bi = np.triu_indices(m, k=1)
-    before = pos[:, ai] < pos[:, bi]  # n x pairs
-    if n == 1:
-        return UndirectedGraph(e.candidates, [])
-    crossings = (before[:-1] != before[1:]).sum(axis=0)
-    edges = [
-        (e.candidates[int(a)], e.candidates[int(b)])
-        for a, b, c in zip(ai, bi, crossings)
-        if c >= 2
-    ]
-    return UndirectedGraph(e.candidates, edges)
+    m = e.m
+    multi = np.zeros((m, m), dtype=bool)
+    for a, flips in _crossing_rows(e):
+        multi[a, a + 1:] = flips.sum(axis=0) >= 2
+    multi |= multi.T
+    packed = np.packbits(multi, axis=1, bitorder="little")
+    adj = [int.from_bytes(row.tobytes(), "little") for row in packed]
+    return UndirectedGraph._from_masks(e.candidates, adj)

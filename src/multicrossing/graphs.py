@@ -3,8 +3,10 @@ recognition, poset algorithms (antichains, Mirsky colorings) and the exact
 NP-hard solvers used by the analyzers."""
 from __future__ import annotations
 
+import re
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 
@@ -21,42 +23,68 @@ def vertex_pair(a: str, b: str) -> tuple[str, str]:
     return (a, b) if a < b else (b, a)
 
 
+def _bits(mask: int) -> list[int]:
+    """Indices of the set bits of `mask`, ascending."""
+    return [m.start() for m in re.finditer("1", bin(mask)[:1:-1])]
+
+
 class UndirectedGraph:
     """Simple undirected graph with named vertices.
 
-    Immutable after construction. Vertex order is preserved for
-    deterministic output; edges are canonicalised as name-sorted pairs.
+    Immutable after construction. Vertex i of `vertices` has the integer
+    bitmask `adj[i]` of its neighbours' indices, and `index` maps names
+    to indices. Vertex order is preserved for deterministic output; the
+    name-sorted pair set `edges` is derived from `adj` on first use.
     """
 
     def __init__(self, vertices, edges=()):
         self.vertices: tuple[str, ...] = tuple(vertices)
         if not self.vertices:
             raise GraphError("graph needs at least one vertex")
-        if len(set(self.vertices)) != len(self.vertices):
+        self.index: dict[str, int] = {v: i for i, v in enumerate(self.vertices)}
+        if len(self.index) != len(self.vertices):
             raise GraphError("duplicate vertex name")
-        vset = set(self.vertices)
-        edge_list: list[tuple[str, str]] = []
-        seen: set[tuple[str, str]] = set()
+        adj = [0] * len(self.vertices)
         for u, v in edges:
             if u == v:
                 raise GraphError(f"self-loop at {u!r}")
-            if u not in vset or v not in vset:
+            i, j = self.index.get(u), self.index.get(v)
+            if i is None or j is None:
                 raise GraphError(f"edge {u!r}-{v!r} uses unknown vertex")
-            e = vertex_pair(u, v)
-            if e in seen:
+            if adj[i] >> j & 1:
                 raise GraphError(f"duplicate edge {u!r}-{v!r}")
-            seen.add(e)
-            edge_list.append(e)
-        self.edge_list: tuple[tuple[str, str], ...] = tuple(edge_list)
-        self.edges: frozenset[tuple[str, str]] = frozenset(edge_list)
-        self._adj: dict[str, set[str]] = {v: set() for v in self.vertices}
-        for u, v in edge_list:
-            self._adj[u].add(v)
-            self._adj[v].add(u)
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+        self.adj: tuple[int, ...] = tuple(adj)
+
+    @classmethod
+    def _from_masks(cls, vertices, adj) -> "UndirectedGraph":
+        """Graph over distinct, already validated names, given its bitmasks."""
+        g = cls.__new__(cls)
+        g.vertices = tuple(vertices)
+        g.index = {v: i for i, v in enumerate(g.vertices)}
+        g.adj = tuple(adj)
+        return g
+
+    def _pairs(self) -> list[tuple[str, str]]:
+        """Name-sorted edge pairs in vertex-index order (i < j)."""
+        vs, out = self.vertices, []
+        for i, mask in enumerate(self.adj):
+            a = vs[i]
+            for j in _bits(mask >> (i + 1)):
+                b = vs[i + 1 + j]
+                out.append((a, b) if a < b else (b, a))
+        return out
+
+    @cached_property
+    def edges(self) -> frozenset[tuple[str, str]]:
+        return frozenset(self._pairs())
 
     def __eq__(self, other):
         if not isinstance(other, UndirectedGraph):
             return NotImplemented
+        if self.vertices == other.vertices:
+            return self.adj == other.adj
         return set(self.vertices) == set(other.vertices) and self.edges == other.edges
 
     def __hash__(self):
@@ -69,27 +97,27 @@ class UndirectedGraph:
         return vertex_pair(a, b) in self.edges
 
     def neighbors(self, v: str) -> set[str]:
-        return set(self._adj[v])
+        return {self.vertices[j] for j in _bits(self.adj[self.index[v]])}
 
     def degree(self, v: str) -> int:
-        return len(self._adj[v])
+        return self.adj[self.index[v]].bit_count()
 
     def complement(self) -> "UndirectedGraph":
-        comp = [
-            (u, v)
-            for u, v in combinations(self.vertices, 2)
-            if vertex_pair(u, v) not in self.edges
-        ]
-        return UndirectedGraph(self.vertices, comp)
+        full = (1 << len(self.vertices)) - 1
+        return UndirectedGraph._from_masks(
+            self.vertices, [full ^ mask ^ (1 << i) for i, mask in enumerate(self.adj)]
+        )
 
     def induced(self, keep) -> "UndirectedGraph":
         kset = set(keep)
-        unknown = kset - set(self.vertices)
+        unknown = kset - self.index.keys()
         if unknown:
             raise GraphError(f"unknown vertices in induced subgraph: {sorted(unknown)}")
-        verts = [v for v in self.vertices if v in kset]
-        edges = [e for e in self.edge_list if e[0] in kset and e[1] in kset]
-        return UndirectedGraph(verts, edges)
+        ids = [i for i, v in enumerate(self.vertices) if v in kset]
+        new = {old: k for k, old in enumerate(ids)}
+        kept = sum(1 << i for i in ids)
+        adj = [sum(1 << new[j] for j in _bits(self.adj[i] & kept)) for i in ids]
+        return UndirectedGraph._from_masks([self.vertices[i] for i in ids], adj)
 
     def sorted_edges(self) -> list[tuple[str, str]]:
         return sorted(self.edges)
@@ -137,10 +165,11 @@ def emit_graph(g: UndirectedGraph) -> str:
 
 
 def emit_dot(g: UndirectedGraph) -> str:
-    """Deterministic DOT output: vertices and edges in input order."""
+    """Deterministic DOT output: vertices in order, then each edge as its
+    name-sorted pair, in vertex-index order (i < j)."""
     out = ["graph G {"]
     out.extend(f'  "{v}";' for v in g.vertices)
-    out.extend(f'  "{u}" -- "{v}";' for u, v in g.edge_list)
+    out.extend(f'  "{u}" -- "{v}";' for u, v in g._pairs())
     out.append("}")
     return "\n".join(out) + "\n"
 
@@ -173,11 +202,8 @@ class Orientation:
     def verify_transitive(self) -> bool:
         """Explicit triple check: (u,v) and (v,w) arcs require (u,w)."""
         succ = self.successor_map()
-        for v, outs in succ.items():
-            for u in self.base.vertices:
-                if v in succ[u]:
-                    if not outs <= succ[u]:
-                        return False
+        if any(not succ[v] <= succ[u] for u, v in self.arcs):
+            return False
         self._verified = True
         return True
 
@@ -358,9 +384,10 @@ def max_antichain(o: Orientation) -> tuple[str, ...]:
     expected = len(order) - len(match_r)
     if len(antichain) != expected:
         raise GraphError("Koenig construction produced an inconsistent antichain")
-    for a, b in combinations(antichain, 2):
-        if o.base.has_edge(a, b):
-            raise GraphError("antichain is not independent in the base graph")
+    index, adj = o.base.index, o.base.adj
+    members = sum(1 << index[v] for v in antichain)
+    if any(adj[index[v]] & members for v in antichain):
+        raise GraphError("antichain is not independent in the base graph")
     return antichain
 
 
@@ -473,7 +500,7 @@ class _TargetReached(Exception):
     pass
 
 
-def _mis_search(nbr, n, budget, stop_at=None, should_stop=None):
+def _mis_search(nbr, budget, stop_at=None, should_stop=None):
     """Branch-and-bound maximum independent set over bitmasks.
 
     Branches on the highest-degree remaining vertex; prunes with the
@@ -482,7 +509,7 @@ def _mis_search(nbr, n, budget, stop_at=None, should_stop=None):
     """
     best = {"size": -1, "mask": 0}
     nodes = 0
-    full = (1 << n) - 1
+    full = (1 << len(nbr)) - 1
 
     def rec(avail, cur_mask, cur_size):
         nonlocal nodes
@@ -520,15 +547,8 @@ def _mis_search(nbr, n, budget, stop_at=None, should_stop=None):
 
 def maximum_independent_set(g: UndirectedGraph, budget=10_000_000, should_stop=None):
     """Exact maximum independent set. Returns (vertices, complete, nodes)."""
-    n = len(g.vertices)
-    idx = {v: i for i, v in enumerate(g.vertices)}
-    nbr = [0] * n
-    for u, v in g.edges:
-        nbr[idx[u]] |= 1 << idx[v]
-        nbr[idx[v]] |= 1 << idx[u]
-    mask, complete, nodes = _mis_search(nbr, n, budget, should_stop=should_stop)
-    found = tuple(v for v in g.vertices if mask >> idx[v] & 1)
-    return found, complete, nodes
+    mask, complete, nodes = _mis_search(g.adj, budget, should_stop=should_stop)
+    return tuple(g.vertices[i] for i in _bits(mask)), complete, nodes
 
 
 def exact_independent_set(g: UndirectedGraph, t: int, budget=10_000_000,
@@ -536,15 +556,8 @@ def exact_independent_set(g: UndirectedGraph, t: int, budget=10_000_000,
     """Find an independent set of size >= t, or prove there is none."""
     if t < 1:
         raise GraphError("target size must be at least 1")
-    n = len(g.vertices)
-    idx = {v: i for i, v in enumerate(g.vertices)}
-    nbr = [0] * n
-    for u, v in g.edges:
-        nbr[idx[u]] |= 1 << idx[v]
-        nbr[idx[v]] |= 1 << idx[u]
-    mask, complete, nodes = _mis_search(nbr, n, budget, stop_at=t,
-                                        should_stop=should_stop)
-    found = tuple(v for v in g.vertices if mask >> idx[v] & 1)
+    mask, complete, nodes = _mis_search(g.adj, budget, stop_at=t, should_stop=should_stop)
+    found = tuple(g.vertices[i] for i in _bits(mask))
     if len(found) >= t:
         return SolveReport("found", found, nodes)
     if complete:
@@ -552,29 +565,26 @@ def exact_independent_set(g: UndirectedGraph, t: int, budget=10_000_000,
     return SolveReport("budget-exceeded", None, nodes)
 
 
-def _greedy_clique(g: UndirectedGraph) -> list[str]:
-    clique: list[str] = []
-    for v in sorted(g.vertices, key=g.degree, reverse=True):
-        if all(g.has_edge(v, u) for u in clique):
-            clique.append(v)
-    return clique
-
-
 def exact_coloring(g: UndirectedGraph, k: int, budget=10_000_000,
                    should_stop=None) -> SolveReport:
     """Proper k-coloring by backtracking, or proof that none exists.
 
-    Symmetry is broken by allowing each vertex at most one fresh color;
-    a greedy clique gives a quick lower-bound refusal.
+    Vertices are colored by decreasing degree. Symmetry is broken by
+    allowing each vertex at most one fresh color; a greedy clique gives a
+    quick lower-bound refusal.
     """
     if k < 1:
         raise GraphError("k must be at least 1")
-    if len(_greedy_clique(g)) > k:
+    adj = g.adj
+    order = sorted(range(len(adj)), key=lambda v: adj[v].bit_count(), reverse=True)
+    clique = 0
+    for v in order:
+        if adj[v] & clique == clique:
+            clique |= 1 << v
+    if clique.bit_count() > k:
         return SolveReport("infeasible", None, 0)
-    order = sorted(g.vertices, key=g.degree, reverse=True)
-    adj = [[order.index(u) for u in g.neighbors(v)] for v in order]
     n = len(order)
-    colors = [0] * n  # 1-based colors, 0 = unassigned
+    members = [0] * (k + 1)  # members[c]: bitmask of the vertices colored c
     nodes = 0
 
     def rec(i, used):
@@ -584,13 +594,13 @@ def exact_coloring(g: UndirectedGraph, k: int, budget=10_000_000,
         nodes += 1
         if nodes > budget or (should_stop is not None and should_stop()):
             raise _BudgetExhausted
-        limit = min(k, used + 1)
-        for c in range(1, limit + 1):
-            if all(colors[j] != c for j in adj[i]):
-                colors[i] = c
+        v = order[i]
+        for c in range(1, min(k, used + 1) + 1):
+            if not adj[v] & members[c]:
+                members[c] |= 1 << v
                 if rec(i + 1, max(used, c)):
                     return True
-                colors[i] = 0
+                members[c] ^= 1 << v
         return False
 
     try:
@@ -599,5 +609,5 @@ def exact_coloring(g: UndirectedGraph, k: int, budget=10_000_000,
         return SolveReport("budget-exceeded", None, nodes)
     if not ok:
         return SolveReport("infeasible", None, nodes)
-    witness = {v: colors[i] for i, v in enumerate(order)}
+    witness = {g.vertices[v]: c for c, mask in enumerate(members) for v in _bits(mask)}
     return SolveReport("found", witness, nodes)
