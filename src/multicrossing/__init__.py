@@ -14,6 +14,7 @@ from .analysis import (
 )
 from .constructions import (
     ConstructionError,
+    ConstructionInputError,
     ImplementationResult,
     RamseyExtract,
     fully_single_crossing,

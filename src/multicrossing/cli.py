@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success / affirmative answer, 1 well-formed negative
-answer, 2 input error, 3 solver budget exceeded.
+answer, 2 input error (including construction arguments no instance
+matches), 3 solver budget exceeded, 4 internal error (any other
+exception, such as a failed self-verification).
 """
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ from .analysis import (
     candidate_partition,
 )
 from .constructions import (
-    ConstructionError,
+    ConstructionInputError,
     fully_single_crossing,
     implement_clique,
     implement_empty,
@@ -49,6 +51,7 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 
 class InputError(Exception):
@@ -285,12 +288,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, ElectionError, GraphError) as exc:
+    except (InputError, ElectionError, GraphError, ConstructionInputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except ConstructionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NEGATIVE
+    except Exception as exc:  # a fault of the program, never a negative answer
+        detail = " ".join(str(exc).split())
+        print(f"error: internal error: {type(exc).__name__}: {detail}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def entry():

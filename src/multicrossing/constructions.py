@@ -23,6 +23,10 @@ class ConstructionError(RuntimeError):
     pass
 
 
+class ConstructionInputError(ConstructionError):
+    """The arguments describe no instance the construction accepts."""
+
+
 @dataclass(frozen=True)
 class ImplementationResult:
     election: Election
@@ -90,7 +94,7 @@ def _path_votes(s: int) -> tuple[list[int], list[int]]:
 
 def implement_path(s: int) -> ImplementationResult:
     if s < 2:
-        raise ConstructionError("path construction needs length >= 2")
+        raise ConstructionInputError("path construction needs length >= 2")
     v1, v2 = _path_votes(s)
     votes = [[str(c) for c in v] for v in (v1, v2, v1)]
     return _finish(_int_names(s), votes, path_graph(s))
@@ -105,7 +109,7 @@ def implement_even_cycle(s: int) -> ImplementationResult:
     validated by recomputing the multi-crossing graph.
     """
     if s < 4 or s % 2:
-        raise ConstructionError("cycle construction needs an even length >= 4")
+        raise ConstructionInputError("cycle construction needs an even length >= 4")
     p1, p2 = _path_votes(s)
     v1 = p1
     v2 = [c for c in p2 if c != 1] + [1]
@@ -117,7 +121,7 @@ def implement_even_cycle(s: int) -> ImplementationResult:
 
 def _check_tree(t: UndirectedGraph):
     if len(t.edges) != len(t.vertices) - 1:
-        raise ConstructionError("input is not a tree (wrong edge count)")
+        raise ConstructionInputError("input is not a tree (wrong edge count)")
     seen = {t.vertices[0]}
     queue = deque([t.vertices[0]])
     while queue:
@@ -127,7 +131,7 @@ def _check_tree(t: UndirectedGraph):
                 seen.add(v)
                 queue.append(v)
     if len(seen) != len(t.vertices):
-        raise ConstructionError("input is not a tree (not connected)")
+        raise ConstructionInputError("input is not a tree (not connected)")
 
 
 def implement_tree(t: UndirectedGraph, root: str | None = None) -> ImplementationResult:
@@ -141,7 +145,7 @@ def implement_tree(t: UndirectedGraph, root: str | None = None) -> Implementatio
     if root is None:
         root = min(t.vertices)
     elif root not in t.vertices:
-        raise ConstructionError(f"root {root!r} is not a vertex")
+        raise ConstructionInputError(f"root {root!r} is not a vertex")
 
     children: dict[str, list[str]] = {v: [] for v in t.vertices}
     seen = {root}
@@ -272,7 +276,7 @@ def fully_single_crossing(m: int) -> Election:
     """m-candidate, (m+1)-voter election where every pair crosses exactly
     once, always as an adjacent swap."""
     if m < 2:
-        raise ConstructionError("need at least 2 candidates")
+        raise ConstructionInputError("need at least 2 candidates")
     votes, _ = _fullsc_votes(m)
     return Election(
         tuple(_int_names(m)),

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import UndirectedGraph, vertex_pair
+from .graphs import UndirectedGraph, _check_names, vertex_pair
 
 
 class ElectionError(ValueError):
@@ -32,6 +32,7 @@ class Election:
             raise ElectionError("election needs at least one candidate")
         if not self.votes:
             raise ElectionError("election needs at least one vote")
+        _check_names(self.candidates, ElectionError, ">")
         cset = set(self.candidates)
         if len(cset) != len(self.candidates):
             raise ElectionError("duplicate candidate name")
@@ -128,7 +129,10 @@ def parse_election(text: str) -> Election:
                 f"line {no}: vote ranks {len(vote)} of {m} candidates"
             )
         votes.append(vote)
-    return Election(candidates, tuple(votes))
+    try:
+        return Election(candidates, tuple(votes))
+    except ElectionError as exc:
+        raise ElectionParseError(str(exc)) from None
 
 
 def emit_election(e: Election) -> str:

@@ -23,6 +23,19 @@ def vertex_pair(a: str, b: str) -> tuple[str, str]:
     return (a, b) if a < b else (b, a)
 
 
+def _check_names(names, error, forbidden=""):
+    """Raise `error` for a name the text formats cannot read back: not a
+    non-empty string without whitespace, starting with "#" (the comment
+    marker) or containing the character `forbidden`."""
+    for name in names:
+        if (not isinstance(name, str) or name.split() != [name] or name.startswith("#")
+                or forbidden and forbidden in name):
+            rule = "a name is a non-empty string without whitespace, not starting with '#'"
+            if forbidden:
+                rule += f" and without {forbidden!r}"
+            raise error(f"invalid name {name!r}: {rule}")
+
+
 def _bits(mask: int) -> list[int]:
     """Indices of the set bits of `mask`, ascending."""
     return [m.start() for m in re.finditer("1", bin(mask)[:1:-1])]
@@ -41,6 +54,7 @@ class UndirectedGraph:
         self.vertices: tuple[str, ...] = tuple(vertices)
         if not self.vertices:
             raise GraphError("graph needs at least one vertex")
+        _check_names(self.vertices, GraphError)
         self.index: dict[str, int] = {v: i for i, v in enumerate(self.vertices)}
         if len(self.index) != len(self.vertices):
             raise GraphError("duplicate vertex name")
@@ -327,22 +341,31 @@ def _kuhn_matching(order, succ) -> dict[str, str]:
     """Maximum bipartite matching by augmenting paths.
 
     Left and right copies share the vertex names; returns match_right:
-    right vertex -> matched left vertex.
+    right vertex -> matched left vertex. Each search from a left vertex
+    is a depth-first search on an explicit stack that tries successors in
+    sorted order, so path length is not bounded by the recursion limit.
     """
+    ranked = {u: sorted(vs) for u, vs in succ.items()}
     match_r: dict[str, str] = {}
-
-    def augment(u, visited):
-        for v in sorted(succ[u]):
-            if v in visited:
+    for root in order:
+        visited: set[str] = set()
+        stack = [(root, iter(ranked[root]))]
+        path: list[str] = []  # path[d]: the right vertex tried from stack[d]
+        while stack:
+            v = next((x for x in stack[-1][1] if x not in visited), None)
+            if v is None:
+                stack.pop()
+                if path:
+                    path.pop()
                 continue
             visited.add(v)
-            if v not in match_r or augment(match_r[v], visited):
-                match_r[v] = u
-                return True
-        return False
-
-    for u in order:
-        augment(u, set())
+            path.append(v)
+            if v in match_r:
+                stack.append((match_r[v], iter(ranked[match_r[v]])))
+                continue
+            for (u, _), w in zip(stack, path):
+                match_r[w] = u
+            break
     return match_r
 
 

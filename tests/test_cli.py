@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from multicrossing import cli
+from multicrossing import UndirectedGraph, cli, constructions
 
 pytestmark = pytest.mark.usefixtures("capsys")
 
@@ -156,3 +156,34 @@ def test_oracle_subcommand(capsys, tmp_path):
     assert code == 0 and out.startswith("2: ")
     code, out, _ = run(capsys, "oracle", "is3", str(graph_file))
     assert code == 1 and out.strip() == "no"
+
+
+def test_construction_argument_errors_exit_2(capsys, tmp_path):
+    for family, size in [("cycle", 5), ("cycle", 2), ("path", 1)]:
+        code, _, err = run(capsys, "implement", "--family", family, "--size", str(size))
+        assert code == 2, (family, size)
+        assert err.startswith("error:")
+    square = tmp_path / "c4.graph"
+    square.write_text("4\n1 2 3 4\n1 2\n2 3\n3 4\n4 1\n", encoding="utf-8")
+    code, _, err = run(capsys, "implement", "--family", "tree", str(square))
+    assert code == 2
+    assert "not a tree" in err
+
+
+def test_internal_errors_exit_4(capsys, monkeypatch, fixture_path):
+    # a construction whose self-verification fails is a fault, not an answer
+    monkeypatch.setattr(constructions, "multicrossing_graph",
+                        lambda e: UndirectedGraph(e.candidates))
+    code, out, err = run(capsys, "implement", "--family", "path", "--size", "4")
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error: internal error: ConstructionError: ")
+    assert err.count("\n") == 1
+
+    def overflow(e):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "is_single_crossing", overflow)
+    code, _, err = run(capsys, "check", str(fixture_path("brexit.elec")))
+    assert code == 4
+    assert err == "error: internal error: RecursionError: maximum recursion depth exceeded\n"

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from multicrossing import (
     ConstructionError,
+    ConstructionInputError,
     emit_election,
     fully_single_crossing,
     implement_clique,
@@ -98,6 +99,16 @@ def test_tree_rejects_non_trees():
     disconnected = random_graph(4, 0.0, seed=0)
     with pytest.raises(ConstructionError):
         implement_tree(disconnected)
+
+
+def test_argument_errors_are_input_errors():
+    # the CLI maps these to its input-error exit code
+    for build in (lambda: implement_path(1), lambda: implement_even_cycle(5),
+                  lambda: implement_tree(cycle_graph(4)),
+                  lambda: implement_tree(path_graph(3), root="9"),
+                  lambda: fully_single_crossing(1)):
+        with pytest.raises(ConstructionInputError):
+            build()
 
 
 @given(st.builds(random_permutation_diagram,

@@ -1,10 +1,13 @@
 """Election parsing, crossing sequences and the multi-crossing graph."""
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multicrossing import (
     Election,
+    ElectionError,
     ElectionParseError,
     crossing_sequence,
     emit_election,
@@ -64,6 +67,28 @@ def test_emit_parse_round_trip(e):
     assert parse_election(emit_election(e)) == e
 
 
+# Candidate names the election format can carry: no whitespace, no ">",
+# no leading "#".
+candidate_names = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1,
+                          max_size=4).filter(
+    lambda x: x.split() == [x] and not x.startswith("#") and ">" not in x)
+
+
+@given(st.lists(candidate_names, min_size=1, max_size=6, unique=True), st.data())
+def test_emit_parse_round_trip_any_names(candidates, data):
+    votes = data.draw(st.lists(st.permutations(candidates), min_size=1, max_size=4))
+    e = Election(tuple(candidates), tuple(tuple(v) for v in votes))
+    assert parse_election(emit_election(e)) == e
+
+
+def test_unreadable_candidate_names_rejected():
+    for bad in (("a>b", "c"), ("#x", "y"), ("a b", "c"), ("", "c")):
+        with pytest.raises(ElectionError):
+            Election(bad, (bad,))
+    with pytest.raises(ElectionParseError):
+        parse_election("2 1\ny #x\ny>#x")
+
+
 def test_election_validation():
     with pytest.raises(Exception):
         Election(("a", "b"), (("a",),))
@@ -105,6 +130,21 @@ def test_witness_is_a_real_double_crossing(e):
     (a, b), (i, j, k) = witness
     # voters i and k agree on {a, b}; voter j disagrees: two crossings
     assert e.prefers(i, a, b) == e.prefers(k, a, b) != e.prefers(j, a, b)
+
+
+@given(elections(max_m=7, max_n=6))
+def test_witness_is_first_multicrossing_pair(e):
+    # the first pair in candidate order with two crossings, voters
+    # (f+1, f+2, g+2) around its first two sign flips f < g
+    expected = None
+    for a, b in combinations(e.candidates, 2):
+        signs = crossing_sequence(e, a, b).signs
+        flips = [k for k in range(len(signs) - 1) if signs[k] != signs[k + 1]]
+        if len(flips) >= 2:
+            f, g = flips[:2]
+            expected = (min(a, b), max(a, b)), (f + 1, f + 2, g + 2)
+            break
+    assert is_single_crossing(e) == (expected is None, expected)
 
 
 @given(elections())

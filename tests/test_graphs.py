@@ -1,9 +1,13 @@
 """Graph data type, recognition algorithms and the exact solvers."""
+import sys
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multicrossing import (
+    GraphError,
     GraphParseError,
     Orientation,
     PermutationDiagram,
@@ -17,12 +21,14 @@ from multicrossing import (
     maximum_independent_set,
     minimum_chain_cover,
     mirsky_coloring,
+    multicrossing_graph,
+    parse_election,
     parse_graph,
     recognize_permutation,
     transitive_orientation,
 )
 from multicrossing import bruteforce as bf
-from multicrossing.constructions import cycle_graph, path_graph
+from multicrossing.constructions import cycle_graph, implement_clique, path_graph
 from multicrossing.generate import (
     random_comparability_graph,
     random_graph,
@@ -46,6 +52,64 @@ def comparability_graphs(max_v=9):
         st.sampled_from([0.2, 0.4, 0.6]),
         st.integers(min_value=0, max_value=2**32 - 1),
     )
+
+
+# Names the text formats can carry: anything but whitespace and a leading "#".
+names = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=4).filter(
+    lambda x: x.split() == [x] and not x.startswith("#"))
+
+
+@st.composite
+def named_graphs(draw, max_v=7):
+    """Vertex names and an edge list in arbitrary order and orientation."""
+    vs = draw(st.lists(names, min_size=1, max_size=max_v, unique=True))
+    pairs = draw(st.lists(st.sampled_from(list(combinations(vs, 2))), unique=True)
+                 if len(vs) > 1 else st.just([]))
+    flips = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return vs, [(b, a) if f else (a, b) for (a, b), f in zip(pairs, flips)]
+
+
+# ------------------------------------------------------------ graph model
+
+
+@given(named_graphs(), st.data())
+def test_graph_agrees_with_pair_set_model(spec, data):
+    vs, edge_list = spec
+    g = UndirectedGraph(vs, edge_list)
+    model = {frozenset(e) for e in edge_list}
+    for i, a in enumerate(vs):
+        for j, b in enumerate(vs):
+            assert (g.adj[i] >> j & 1) == (frozenset((a, b)) in model)
+            assert g.has_edge(a, b) == (frozenset((a, b)) in model)
+        assert g.index[a] == i
+        assert g.neighbors(a) == {b for b in vs if frozenset((a, b)) in model}
+        assert g.degree(a) == len(g.neighbors(a))
+    assert g.edges == {tuple(sorted(e)) for e in model}
+    comp = g.complement()
+    assert comp.vertices == g.vertices
+    assert comp.edges == {tuple(sorted(p)) for p in combinations(vs, 2)} - g.edges
+    keep = data.draw(st.lists(st.sampled_from(vs), unique=True))
+    sub = g.induced(keep)
+    assert sub.vertices == tuple(v for v in vs if v in keep)
+    assert sub.edges == {e for e in g.edges if set(e) <= set(keep)}
+    order = data.draw(st.permutations(vs))
+    same = UndirectedGraph(order, list(reversed(edge_list)))
+    assert same == g and hash(same) == hash(g)
+    if len(vs) > 1:
+        toggled = model ^ {frozenset(vs[:2])}
+        assert UndirectedGraph(vs, [tuple(e) for e in toggled]) != g
+
+
+@given(named_graphs())
+def test_emit_parse_round_trip_any_names(spec):
+    g = UndirectedGraph(*spec)
+    assert parse_graph(emit_graph(g)) == g
+
+
+def test_unreadable_vertex_names_rejected():
+    for bad in (["#a", "b"], ["a b", "c"], ["", "c"], [1, 2]):
+        with pytest.raises(GraphError):
+            UndirectedGraph(bad)
 
 
 # ---------------------------------------------------------------- parsing
@@ -76,6 +140,12 @@ def test_dot_output_is_deterministic(g):
     assert out.startswith("graph ")
     for u, v in g.edges:
         assert f'"{u}" -- "{v}"' in out or f'"{v}" -- "{u}"' in out
+
+
+def test_gamma_dot_output_pinned(fixture_text):
+    # names 1..12: the edges come in vertex-index order, not name order
+    e = parse_election(fixture_text("random12.elec"))
+    assert emit_dot(multicrossing_graph(e)) == fixture_text("random12.dot")
 
 
 @given(graphs())
@@ -172,6 +242,25 @@ def test_mirsky_coloring_is_optimal(g):
     for u, v in g.edges:
         assert heights[u] != heights[v]
     assert chi == bf.bf_chromatic(g)[0]
+
+
+def test_matching_paths_longer_than_recursion_limit():
+    # the vote-1 orientation of a clique is one long chain: augmenting
+    # paths in the matching grow far beyond the lowered recursion limit
+    e = implement_clique([str(i) for i in range(1, 301)]).election
+    gamma = multicrossing_graph(e)
+    pos = e.positions(1)
+    o = Orientation(gamma, [(a, b) if pos[a] < pos[b] else (b, a) for a, b in gamma.edges])
+    assert o.verify_transitive()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(250)
+    try:
+        antichain = max_antichain(o)
+        chains = minimum_chain_cover(o)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(antichain) == 1
+    assert chains == [list(e.votes[0])]
 
 
 def test_orientation_rejects_unknown_arcs():
