@@ -36,9 +36,12 @@ def _check_names(names, error, forbidden=""):
             raise error(f"invalid name {name!r}: {rule}")
 
 
+_ONE = re.compile("1")
+
+
 def _bits(mask: int) -> list[int]:
     """Indices of the set bits of `mask`, ascending."""
-    return [m.start() for m in re.finditer("1", bin(mask)[:1:-1])]
+    return [m.start() for m in _ONE.finditer(bin(mask)[:1:-1])]
 
 
 class UndirectedGraph:
