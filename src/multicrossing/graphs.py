@@ -49,8 +49,10 @@ class UndirectedGraph:
 
     Immutable after construction. Vertex i of `vertices` has the integer
     bitmask `adj[i]` of its neighbours' indices, and `index` maps names
-    to indices. Vertex order is preserved for deterministic output; the
-    name-sorted pair set `edges` is derived from `adj` on first use.
+    to indices. Vertex order is preserved for deterministic output. The
+    name-sorted pair set `edges` is kept from the input edge list, and a
+    graph made from masks (gamma, complement, induced) derives it from
+    `adj` on first use.
     """
 
     def __init__(self, vertices, edges=()):
@@ -62,17 +64,21 @@ class UndirectedGraph:
         if len(self.index) != len(self.vertices):
             raise GraphError("duplicate vertex name")
         adj = [0] * len(self.vertices)
+        pairs: set[tuple[str, str]] = set()
         for u, v in edges:
             if u == v:
                 raise GraphError(f"self-loop at {u!r}")
             i, j = self.index.get(u), self.index.get(v)
             if i is None or j is None:
                 raise GraphError(f"edge {u!r}-{v!r} uses unknown vertex")
-            if adj[i] >> j & 1:
+            pair = vertex_pair(u, v)
+            if pair in pairs:
                 raise GraphError(f"duplicate edge {u!r}-{v!r}")
+            pairs.add(pair)
             adj[i] |= 1 << j
             adj[j] |= 1 << i
         self.adj: tuple[int, ...] = tuple(adj)
+        self.edges = frozenset(pairs)  # the set `edges` would derive from adj
 
     @classmethod
     def _from_masks(cls, vertices, adj) -> "UndirectedGraph":
