@@ -88,6 +88,7 @@ def test_graph_agrees_with_pair_set_model(spec, data):
     comp = g.complement()
     assert comp.vertices == g.vertices
     assert comp.edges == {tuple(sorted(p)) for p in combinations(vs, 2)} - g.edges
+    assert comp.complement().edges == g.edges  # derived from masks vs kept from input
     keep = data.draw(st.lists(st.sampled_from(vs), unique=True))
     sub = g.induced(keep)
     assert sub.vertices == tuple(v for v in vs if v in keep)
