@@ -7,6 +7,7 @@ solvers with a node budget.
 """
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 
 from .constructions import implement_general
@@ -15,7 +16,9 @@ from .graphs import (
     GraphError,
     Orientation,
     UndirectedGraph,
-    _bits,
+    _antichain,
+    _mis_search,
+    _transitive,
     exact_coloring,
     is_bipartite,
     max_antichain,
@@ -56,24 +59,35 @@ class AnalysisResult:
         return out
 
 
+_NOT_TRANSITIVE = "vote-1 orientation of a <=3-voter election not transitive"
+
+
 def _vote1_orientation(e: Election, gamma: UndirectedGraph) -> Orientation:
     """Orient each multi-crossing edge by the first voter's preference.
 
     For elections with at most 3 voters this is always transitive.
     """
-    pos = e.positions(1)
-    arcs = [(a, b) if pos[a] < pos[b] else (b, a) for a, b in gamma.edges]
-    o = Orientation(gamma, arcs)
+    index, adj = gamma.index, gamma.adj
+    succ = [0] * len(adj)
+    below = 0  # the candidates the first voter ranks below the current one
+    for c in reversed(e.votes[0]):
+        i = index[c]
+        succ[i] = adj[i] & below
+        below |= 1 << i
+    o = Orientation._from_masks(gamma, succ)
     if not o.verify_transitive():
-        raise GraphError("vote-1 orientation of a <=3-voter election not transitive")
+        raise GraphError(_NOT_TRANSITIVE)
     return o
 
 
-def _lexmin_max_independent_set(gamma: UndirectedGraph, size: int, mis_size) -> tuple[str, ...]:
+def _lexmin_max_independent_set(gamma: UndirectedGraph, size: int,
+                                size_within) -> tuple[str, ...]:
     """Lexicographically smallest (by candidate name) maximum independent set.
 
     Greedy over sorted names; a candidate joins when some maximum set
     extends the current choice using only later, compatible candidates.
+    `size_within(pool)` is the maximum independent set size among the
+    candidates of the vertex mask `pool`.
     """
     vs, adj = gamma.vertices, gamma.adj
     later = (1 << len(vs)) - 1  # candidates not yet considered
@@ -84,7 +98,7 @@ def _lexmin_max_independent_set(gamma: UndirectedGraph, size: int, mis_size) -> 
         if blocked >> c & 1:
             continue
         pool = later & ~(blocked | adj[c])
-        extra = mis_size(gamma.induced([vs[v] for v in _bits(pool)])) if pool else 0
+        extra = size_within(pool) if pool else 0
         if len(chosen) + 1 + extra >= size:
             chosen.append(vs[c])
             blocked |= adj[c]
@@ -93,14 +107,6 @@ def _lexmin_max_independent_set(gamma: UndirectedGraph, size: int, mis_size) -> 
     if len(chosen) != size:
         raise GraphError("lexmin refinement failed to reach the maximum size")
     return tuple(chosen)
-
-
-def _poly_mis_size(e: Election):
-    def mis_size(sub: UndirectedGraph) -> int:
-        o = _vote1_orientation(e, sub)
-        return len(max_antichain(o))
-
-    return mis_size
 
 
 def candidate_deletion(e: Election, k: int, budget: int = DEFAULT_BUDGET,
@@ -115,39 +121,33 @@ def candidate_deletion(e: Election, k: int, budget: int = DEFAULT_BUDGET,
     if k < 0:
         raise ValueError("deletion budget must be >= 0")
     gamma = multicrossing_graph(e)
-    target = e.m - k
     if e.n <= 3 and not force_general:
         o = _vote1_orientation(e, gamma)
-        size = len(max_antichain(o))
-        kept = _lexmin_max_independent_set(gamma, size, _poly_mis_size(e))
-        return AnalysisResult(
-            kind="deletion", feasible=size >= target, optimal=True,
-            budget_exceeded=False, method="three-voter-poly",
-            nodes_explored=0, kept=kept,
-        )
 
-    best, complete, nodes = maximum_independent_set(gamma, budget, should_stop)
-    if complete:
-        def mis_size(sub: UndirectedGraph) -> int:
-            found, done, _ = maximum_independent_set(sub, budget)
+        def size_within(pool: int) -> int:
+            if not _transitive(o.succ, pool):
+                raise GraphError(_NOT_TRANSITIVE)
+            return _antichain(o, pool).bit_count()
+
+        kept = _lexmin_max_independent_set(gamma, len(max_antichain(o)), size_within)
+        method, complete, nodes = "three-voter-poly", True, 0
+    else:
+        best, complete, nodes = maximum_independent_set(gamma, budget, should_stop)
+        kept = tuple(sorted(best))
+
+        def size_within(pool: int) -> int:
+            found, done, _ = _mis_search(gamma.adj, budget, within=pool)
             if not done:
                 raise _RefineBudget
-            return len(found)
+            return found.bit_count()
 
-        try:
-            kept = _lexmin_max_independent_set(gamma, len(best), mis_size)
-        except _RefineBudget:
-            kept = tuple(sorted(best))
-        return AnalysisResult(
-            kind="deletion", feasible=len(kept) >= target, optimal=True,
-            budget_exceeded=False, method="general-exact",
-            nodes_explored=nodes, kept=kept,
-        )
-    kept = tuple(sorted(best))
+        if complete:
+            with suppress(_RefineBudget):
+                kept = _lexmin_max_independent_set(gamma, len(best), size_within)
+        method = "general-exact"
     return AnalysisResult(
-        kind="deletion", feasible=len(kept) >= target, optimal=False,
-        budget_exceeded=True, method="general-exact",
-        nodes_explored=nodes, kept=kept,
+        kind="deletion", feasible=len(kept) >= e.m - k, optimal=complete,
+        budget_exceeded=not complete, method=method, nodes_explored=nodes, kept=kept,
     )
 
 
@@ -174,38 +174,23 @@ def candidate_partition(e: Election, k: int, budget: int = DEFAULT_BUDGET,
     if k < 1:
         raise ValueError("number of parts must be >= 1")
     gamma = multicrossing_graph(e)
+    nodes, exceeded = 0, False
     if k == 2 and not force_general:
-        ok, cert = is_bipartite(gamma)
-        classes = _classes_from_coloring(cert, gamma.vertices) if ok else None
-        return AnalysisResult(
-            kind="partition", feasible=ok, optimal=True, budget_exceeded=False,
-            method="bipartite-poly", nodes_explored=0, classes=classes,
-        )
-    if e.n <= 3 and not force_general:
-        o = _vote1_orientation(e, gamma)
-        heights, chi = mirsky_coloring(o)
+        method = "bipartite-poly"
+        feasible, coloring = is_bipartite(gamma)
+    elif e.n <= 3 and not force_general:
+        method = "three-voter-poly"
+        coloring, chi = mirsky_coloring(_vote1_orientation(e, gamma))
         feasible = chi <= k
-        classes = _classes_from_coloring(heights, gamma.vertices) if feasible else None
-        return AnalysisResult(
-            kind="partition", feasible=feasible, optimal=True,
-            budget_exceeded=False, method="three-voter-poly",
-            nodes_explored=0, classes=classes,
-        )
-    report = exact_coloring(gamma, k, budget, should_stop)
-    if report.status == "found":
-        classes = _classes_from_coloring(report.witness, gamma.vertices)
-        return AnalysisResult(
-            kind="partition", feasible=True, optimal=True, budget_exceeded=False,
-            method="general-exact", nodes_explored=report.nodes, classes=classes,
-        )
-    if report.status == "infeasible":
-        return AnalysisResult(
-            kind="partition", feasible=False, optimal=True, budget_exceeded=False,
-            method="general-exact", nodes_explored=report.nodes,
-        )
+    else:
+        method = "general-exact"
+        report = exact_coloring(gamma, k, budget, should_stop)
+        feasible, coloring, nodes = report.status == "found", report.witness, report.nodes
+        exceeded = report.status == "budget-exceeded"
+    classes = _classes_from_coloring(coloring, gamma.vertices) if feasible else None
     return AnalysisResult(
-        kind="partition", feasible=False, optimal=False, budget_exceeded=True,
-        method="general-exact", nodes_explored=report.nodes,
+        kind="partition", feasible=feasible, optimal=not exceeded,
+        budget_exceeded=exceeded, method=method, nodes_explored=nodes, classes=classes,
     )
 
 

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import combinations
 
 from .elections import Election, multicrossing_graph, restrict
 from .graphs import (
@@ -15,7 +14,6 @@ from .graphs import (
     PermutationDiagram,
     UndirectedGraph,
     _linear_order,
-    vertex_pair,
 )
 
 
@@ -119,21 +117,6 @@ def implement_even_cycle(s: int) -> ImplementationResult:
     return _finish(_int_names(s), votes, cycle_graph(s))
 
 
-def _check_tree(t: UndirectedGraph):
-    if len(t.edges) != len(t.vertices) - 1:
-        raise ConstructionInputError("input is not a tree (wrong edge count)")
-    seen = {t.vertices[0]}
-    queue = deque([t.vertices[0]])
-    while queue:
-        u = queue.popleft()
-        for v in t.neighbors(u):
-            if v not in seen:
-                seen.add(v)
-                queue.append(v)
-    if len(seen) != len(t.vertices):
-        raise ConstructionInputError("input is not a tree (not connected)")
-
-
 def implement_tree(t: UndirectedGraph, root: str | None = None) -> ImplementationResult:
     """Recursive 3-voter implementation of a tree.
 
@@ -141,7 +124,8 @@ def implement_tree(t: UndirectedGraph, root: str | None = None) -> Implementatio
     root first. Children are processed in lexicographic order; the root
     defaults to the lexicographically smallest vertex.
     """
-    _check_tree(t)
+    if len(t.edges) != len(t.vertices) - 1:
+        raise ConstructionInputError("input is not a tree (wrong edge count)")
     if root is None:
         root = min(t.vertices)
     elif root not in t.vertices:
@@ -157,6 +141,8 @@ def implement_tree(t: UndirectedGraph, root: str | None = None) -> Implementatio
                 seen.add(v)
                 children[u].append(v)
                 queue.append(v)
+    if len(seen) != len(t.vertices):
+        raise ConstructionInputError("input is not a tree (not connected)")
 
     def build(r: str) -> tuple[list[str], list[str], list[str]]:
         kids = children[r]
@@ -184,16 +170,20 @@ def implement_permutation_graph(d: PermutationDiagram) -> ImplementationResult:
     return _finish(d.pi1, [d.pi1, d.pi2, d.pi1], d.graph())
 
 
-def _rebase_witness(edges, vertices, first) -> tuple[str, ...] | None:
-    """Second permutation pairing with `first` to witness exactly `edges`.
+def _rebase_witness(g: UndirectedGraph, first) -> tuple[str, ...] | None:
+    """Second permutation pairing with `first` to witness exactly the edges of g.
 
     The required order (invert a pair iff it is an edge) must be a total
     order; None when the induced tournament is cyclic, i.e. no witness
     with this first permutation exists.
     """
-    arcs = [(v, u) if vertex_pair(u, v) in edges else (u, v)
-            for u, v in combinations(first, 2)]
-    return _linear_order(arcs, vertices)
+    succ = [0] * len(g.vertices)
+    later = (1 << len(g.vertices)) - 1
+    for v in first:
+        i = g.index[v]
+        later ^= 1 << i
+        succ[i] = later ^ g.adj[i]  # later non-neighbours and earlier neighbours
+    return _linear_order(succ, g.vertices)
 
 
 def intersect_implementations(d1: PermutationDiagram,
@@ -208,24 +198,23 @@ def intersect_implementations(d1: PermutationDiagram,
     """
     if set(d1.pi1) != set(d2.pi1):
         raise GraphError("diagrams must share the vertex set")
-    e1 = d1.induced_edges()
-    e2 = d2.induced_edges()
     vertices = d1.pi1
-    target = UndirectedGraph(vertices, sorted(e1 & e2))
+    g1, g2 = (UndirectedGraph(vertices, d.induced_edges()) for d in (d1, d2))
+    target = UndirectedGraph._from_masks(vertices, [a & b for a, b in zip(g1.adj, g2.adj)])
 
     def rev(p):
         return tuple(reversed(p))
 
     attempts = [
-        (e2, mid, "d1-first")
+        (g2, mid, "d1-first")
         for mid in (d1.pi2, d1.pi1, rev(d1.pi2), rev(d1.pi1))
     ] + [
-        (e1, mid, "d2-last")
+        (g1, mid, "d2-last")
         for mid in (d2.pi1, d2.pi2, rev(d2.pi1), rev(d2.pi2))
     ]
 
-    for other_edges, mid, shape in attempts:
-        third = _rebase_witness(other_edges, vertices, mid)
+    for other, mid, shape in attempts:
+        third = _rebase_witness(other, mid)
         if third is None:
             continue
         if shape == "d1-first":

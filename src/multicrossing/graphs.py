@@ -117,7 +117,8 @@ class UndirectedGraph:
         return f"UndirectedGraph({len(self.vertices)} vertices, {len(self.edges)} edges)"
 
     def has_edge(self, a: str, b: str) -> bool:
-        return vertex_pair(a, b) in self.edges
+        i, j = self.index.get(a), self.index.get(b)
+        return i is not None and j is not None and bool(self.adj[i] >> j & 1)
 
     def neighbors(self, v: str) -> set[str]:
         return {self.vertices[j] for j in _bits(self.adj[self.index[v]])}
@@ -200,35 +201,63 @@ def emit_dot(g: UndirectedGraph) -> str:
 class Orientation:
     """An orientation of every edge of a base graph.
 
-    The ``verified`` flag is set only after an explicit transitivity
-    check; poset algorithms refuse unverified orientations.
+    Vertex i of the base graph has the integer bitmask `succ[i]` of its
+    successors' indices, the counterpart of `UndirectedGraph.adj`. The
+    name arc set `arcs` is kept from the input arcs, and an orientation
+    made from masks derives it from `succ` on first use. The
+    ``verified`` flag is set only after an explicit transitivity check;
+    poset algorithms refuse unverified orientations.
     """
 
     def __init__(self, base: UndirectedGraph, arcs):
-        self.base = base
         self.arcs: frozenset[tuple[str, str]] = frozenset(arcs)
-        covered = {vertex_pair(a, b) for a, b in self.arcs}
-        if covered != base.edges or len(self.arcs) != len(base.edges):
-            raise GraphError("orientation must direct each base edge exactly once")
-        self._verified = False
+        index, adj = base.index, base.adj
+        succ = [0] * len(adj)
+        error = GraphError("orientation must direct each base edge exactly once")
+        for a, b in self.arcs:
+            i, j = index.get(a), index.get(b)
+            if i is None or j is None or not adj[i] >> j & 1 or succ[j] >> i & 1:
+                raise error
+            succ[i] |= 1 << j
+        if 2 * len(self.arcs) != sum(mask.bit_count() for mask in adj):
+            raise error
+        self.base, self.succ, self._verified = base, tuple(succ), False
+
+    @classmethod
+    def _from_masks(cls, base: UndirectedGraph, succ) -> "Orientation":
+        """Orientation given successor masks that direct each base edge once."""
+        o = cls.__new__(cls)
+        o.base, o.succ, o._verified = base, tuple(succ), False
+        return o
+
+    @cached_property
+    def arcs(self) -> frozenset[tuple[str, str]]:
+        vs = self.base.vertices
+        return frozenset((vs[i], vs[j]) for i, mask in enumerate(self.succ) for j in _bits(mask))
 
     @property
     def verified(self) -> bool:
         return self._verified
 
     def successor_map(self) -> dict[str, set[str]]:
-        succ: dict[str, set[str]] = {v: set() for v in self.base.vertices}
-        for a, b in self.arcs:
-            succ[a].add(b)
-        return succ
+        vs = self.base.vertices
+        return {v: {vs[j] for j in _bits(mask)} for v, mask in zip(vs, self.succ)}
 
     def verify_transitive(self) -> bool:
-        """Explicit triple check: (u,v) and (v,w) arcs require (u,w)."""
-        succ = self.successor_map()
-        if any(not succ[v] <= succ[u] for u, v in self.arcs):
+        """Explicit check: every arc (u,v) has succ(v) ⊆ succ(u)."""
+        self._verified = _transitive(self.succ, (1 << len(self.succ)) - 1)
+        return self._verified
+
+
+def _transitive(succ, within: int) -> bool:
+    """Whether the arcs among the vertices of the mask `within` are
+    transitive: succ(v) ⊆ succ(u) inside `within` for each arc (u,v)."""
+    for u in _bits(within):
+        out = succ[u] & within
+        outside = within ^ out
+        if any(succ[v] & outside for v in _bits(out)):
             return False
-        self._verified = True
-        return True
+    return True
 
 
 @dataclass(frozen=True)
@@ -255,71 +284,70 @@ class PermutationDiagram:
         return UndirectedGraph(self.pi1, sorted(self.induced_edges()))
 
 
-def _force_class(u, v, edges, adj):
-    """Implication class of the arc (u,v) in the graph with edge set `edges`.
+def _force_class(u: int, v: int, rem) -> dict[int, int] | None:
+    """Implication class of the arc (u,v) in the graph with adjacency masks
+    `rem`, as successor masks of the vertices its arcs leave.
 
-    Returns the forced arc set, or None on a conflict (some edge forced
-    in both directions).
+    An arc (a,b) forces (a,c) for each neighbour c of a that is neither b
+    nor a neighbour of b; by symmetry it forces (c,b) for each such
+    neighbour c of b. Returns None on a conflict (some edge forced in
+    both directions).
     """
-    oriented = {(u, v)}
-    queue = deque([(u, v)])
-    while queue:
-        a, b = queue.popleft()
-        for c in adj[a]:
-            if c != b and vertex_pair(b, c) not in edges:
-                if (c, a) in oriented:
-                    return None
-                if (a, c) not in oriented:
-                    oriented.add((a, c))
-                    queue.append((a, c))
-        for c in adj[b]:
-            if c != a and vertex_pair(a, c) not in edges:
-                if (b, c) in oriented:
-                    return None
-                if (c, b) not in oriented:
-                    oriented.add((c, b))
-                    queue.append((c, b))
-    return oriented
+    fwd, bwd = {u: 1 << v}, {v: 1 << u}  # the class's arcs out of and into each vertex
+    stack = [(u, v)]
+    while stack:
+        a, b = stack.pop()
+        for x, y, out, into in ((a, b, fwd, bwd), (b, a, bwd, fwd)):
+            new = rem[x] & ~rem[y] & ~(1 << y)
+            if new & into.get(x, 0):
+                return None
+            new &= ~out.get(x, 0)
+            out[x] = out.get(x, 0) | new
+            for c in _bits(new):
+                into[c] = into.get(c, 0) | 1 << x
+                stack.append((x, c) if out is fwd else (c, x))
+    return fwd
 
 
 def transitive_orientation(g: UndirectedGraph) -> Orientation | None:
     """Orient the edges transitively, or return None if impossible.
 
-    Implication-class forcing: repeatedly pick an unoriented edge, orient
-    it, close under forcing within the remaining graph, remove the class,
-    repeat. The final orientation is re-verified explicitly, so the
+    Implication-class forcing: take the name-smallest unoriented edge,
+    orient it, close under forcing within the remaining graph, remove the
+    class, repeat. The final orientation is re-verified explicitly, so the
     verdict never rests on recognition subtleties alone.
     """
-    remaining = set(g.edges)
-    adj = {v: g.neighbors(v) for v in g.vertices}
-    arcs: list[tuple[str, str]] = []
-    while remaining:
-        u, v = min(remaining)
-        forced = _force_class(u, v, remaining, adj)
+    index = g.index
+    rem = list(g.adj)  # adjacency of the edges not yet oriented
+    succ = [0] * len(rem)
+    for a, b in g.sorted_edges():
+        i, j = index[a], index[b]
+        if not rem[i] >> j & 1:
+            continue  # oriented with an earlier class
+        forced = _force_class(i, j, rem)
         if forced is None:
             return None
-        for a, b in forced:
-            arcs.append((a, b))
-            remaining.discard(vertex_pair(a, b))
-            adj[a].discard(b)
-            adj[b].discard(a)
-    o = Orientation(g, arcs)
+        for x, out in forced.items():
+            succ[x] |= out
+            rem[x] &= ~out
+            for y in _bits(out):
+                rem[y] &= ~(1 << x)
+    o = Orientation._from_masks(g, succ)
     if not o.verify_transitive():
         return None
     return o
 
 
-def _linear_order(arcs, vertices) -> tuple[str, ...] | None:
-    """Topological order of a tournament on `vertices`; None if cyclic."""
-    indeg = {v: 0 for v in vertices}
-    for _, b in arcs:
-        indeg[b] += 1
-    order = sorted(vertices, key=lambda v: indeg[v])
-    pos = {v: i for i, v in enumerate(order)}
-    for a, b in arcs:
-        if pos[a] >= pos[b]:
+def _linear_order(succ, vertices) -> tuple[str, ...] | None:
+    """Topological order of a tournament on `vertices`, given by successor
+    masks; None if it has a cycle."""
+    order = sorted(range(len(succ)), key=lambda i: succ[i].bit_count(), reverse=True)
+    later = (1 << len(succ)) - 1
+    for i in order:
+        later ^= 1 << i
+        if succ[i] != later:
             return None
-    return tuple(order)
+    return tuple(vertices[i] for i in order)
 
 
 def recognize_permutation(g: UndirectedGraph) -> PermutationDiagram | None:
@@ -336,8 +364,10 @@ def recognize_permutation(g: UndirectedGraph) -> PermutationDiagram | None:
     f2 = transitive_orientation(g.complement())
     if f2 is None:
         return None
-    pi1 = _linear_order(f1.arcs | f2.arcs, g.vertices)
-    pi2 = _linear_order({(b, a) for a, b in f1.arcs} | f2.arcs, g.vertices)
+    # the predecessors of a vertex in F1 are its neighbours that are not successors
+    pi1 = _linear_order([s1 | s2 for s1, s2 in zip(f1.succ, f2.succ)], g.vertices)
+    pi2 = _linear_order([(a ^ s1) | s2 for a, s1, s2 in zip(g.adj, f1.succ, f2.succ)],
+                        g.vertices)
     if pi1 is None or pi2 is None:
         return None
     diagram = PermutationDiagram(pi1, pi2)
@@ -346,33 +376,34 @@ def recognize_permutation(g: UndirectedGraph) -> PermutationDiagram | None:
     return diagram
 
 
-def _kuhn_matching(order, succ) -> dict[str, str]:
-    """Maximum bipartite matching by augmenting paths.
+def _kuhn_matching(succ, within: int) -> dict[int, int]:
+    """Maximum bipartite matching by augmenting paths on the vertices of
+    the mask `within`.
 
-    Left and right copies share the vertex names; returns match_right:
+    Left and right copies share the vertex indices; returns match_r:
     right vertex -> matched left vertex. Each search from a left vertex
     is a depth-first search on an explicit stack that tries successors in
-    sorted order, so path length is not bounded by the recursion limit.
+    index order, so path length is not bounded by the recursion limit.
     """
-    ranked = {u: sorted(vs) for u, vs in succ.items()}
-    match_r: dict[str, str] = {}
-    for root in order:
-        visited: set[str] = set()
-        stack = [(root, iter(ranked[root]))]
-        path: list[str] = []  # path[d]: the right vertex tried from stack[d]
+    match_r: dict[int, int] = {}
+    for root in _bits(within):
+        visited = ~within  # vertices outside `within` are never tried
+        stack = [root]
+        path: list[int] = []  # path[d]: the right vertex tried from stack[d]
         while stack:
-            v = next((x for x in stack[-1][1] if x not in visited), None)
-            if v is None:
+            free = succ[stack[-1]] & ~visited
+            if not free:
                 stack.pop()
                 if path:
                     path.pop()
                 continue
-            visited.add(v)
+            v = (free & -free).bit_length() - 1
+            visited |= 1 << v
             path.append(v)
             if v in match_r:
-                stack.append((match_r[v], iter(ranked[match_r[v]])))
+                stack.append(match_r[v])
                 continue
-            for (u, _), w in zip(stack, path):
+            for u, w in zip(stack, path):
                 match_r[w] = u
             break
     return match_r
@@ -383,68 +414,71 @@ def _require_verified(o: Orientation):
         raise GraphError("orientation has not been verified transitive")
 
 
-def max_antichain(o: Orientation) -> tuple[str, ...]:
-    """Maximum antichain of the poset = maximum independent set of the base.
+def _antichain(o: Orientation, within: int) -> int:
+    """Mask of a maximum antichain of the poset restricted to the mask
+    `within`, which is a maximum independent set of the base graph there.
 
     Dilworth route: maximum matching in the chain-cover bipartite graph,
     minimum vertex cover via Koenig, antichain as the uncovered vertices.
-    The size is checked against the chain-cover bound before returning.
+    The size is checked against the chain-cover bound and independence
+    against the base graph before returning.
     """
-    _require_verified(o)
-    succ = o.successor_map()
-    order = o.base.vertices
-    match_r = _kuhn_matching(order, succ)
+    succ = o.succ
+    match_r = _kuhn_matching(succ, within)
     match_l = {u: v for v, u in match_r.items()}
-    matched_left = set(match_r.values())
-
-    z_left = {u for u in order if u not in matched_left}
-    z_right: set[str] = set()
-    frontier = list(z_left)
+    z_left = within & ~sum(1 << u for u in match_l)  # unmatched left vertices
+    z_right = 0
+    frontier = z_left
     while frontier:
-        nxt = []
-        for u in frontier:
-            for v in succ[u]:
-                if v != match_l.get(u) and v not in z_right:
-                    z_right.add(v)
-                    w = match_r.get(v)
-                    if w is not None and w not in z_left:
-                        z_left.add(w)
-                        nxt.append(w)
+        nxt = 0
+        for u in _bits(frontier):
+            reach = succ[u] & within & ~z_right
+            if u in match_l:
+                reach &= ~(1 << match_l[u])
+            z_right |= reach
+            for v in _bits(reach):
+                w = match_r.get(v)
+                if w is not None and not z_left >> w & 1:
+                    z_left |= 1 << w
+                    nxt |= 1 << w
         frontier = nxt
 
-    antichain = tuple(v for v in order if v in z_left and v not in z_right)
-    expected = len(order) - len(match_r)
-    if len(antichain) != expected:
+    antichain = z_left & ~z_right
+    if antichain.bit_count() != within.bit_count() - len(match_r):
         raise GraphError("Koenig construction produced an inconsistent antichain")
-    index, adj = o.base.index, o.base.adj
-    members = sum(1 << index[v] for v in antichain)
-    if any(adj[index[v]] & members for v in antichain):
+    adj = o.base.adj
+    if any(adj[v] & antichain for v in _bits(antichain)):
         raise GraphError("antichain is not independent in the base graph")
     return antichain
 
 
-def minimum_chain_cover(o: Orientation) -> list[list[str]]:
-    """Partition the poset into the minimum number of chains."""
+def max_antichain(o: Orientation) -> tuple[str, ...]:
+    """A maximum antichain of the poset = a maximum independent set of the
+    base graph, in vertex order."""
     _require_verified(o)
-    succ = o.successor_map()
-    order = o.base.vertices
-    match_r = _kuhn_matching(order, succ)
+    vs = o.base.vertices
+    return tuple(vs[i] for i in _bits(_antichain(o, (1 << len(vs)) - 1)))
+
+
+def minimum_chain_cover(o: Orientation) -> list[list[str]]:
+    """A partition of the poset into the minimum number of chains."""
+    _require_verified(o)
+    succ, n = o.succ, len(o.succ)
+    match_r = _kuhn_matching(succ, (1 << n) - 1)
     nxt = {u: v for v, u in match_r.items()}
     chains = []
-    for v in order:
+    for v in range(n):
         if v not in match_r:  # no predecessor in the cover
             chain = [v]
             while chain[-1] in nxt:
                 chain.append(nxt[chain[-1]])
             chains.append(chain)
-    covered = [v for chain in chains for v in chain]
-    if sorted(covered) != sorted(order):
+    if sorted(v for chain in chains for v in chain) != list(range(n)):
         raise GraphError("chain cover does not partition the vertex set")
-    for chain in chains:
-        for a, b in zip(chain, chain[1:]):
-            if b not in succ[a]:
-                raise GraphError("chain cover contains a non-chain")
-    return chains
+    if any(not succ[a] >> b & 1 for chain in chains for a, b in zip(chain, chain[1:])):
+        raise GraphError("chain cover contains a non-chain")
+    vs = o.base.vertices
+    return [[vs[v] for v in chain] for chain in chains]
 
 
 def mirsky_coloring(o: Orientation) -> tuple[dict[str, int], int]:
@@ -454,24 +488,14 @@ def mirsky_coloring(o: Orientation) -> tuple[dict[str, int], int]:
     comparability graph is the chromatic number.
     """
     _require_verified(o)
-    succ = o.successor_map()
-    indeg = {v: 0 for v in o.base.vertices}
-    for a, b in o.arcs:
-        indeg[b] += 1
-    height = {v: 1 for v in o.base.vertices}
-    queue = deque(v for v in o.base.vertices if indeg[v] == 0)
-    seen = 0
-    while queue:
-        v = queue.popleft()
-        seen += 1
-        for w in succ[v]:
-            height[w] = max(height[w], height[v] + 1)
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                queue.append(w)
-    if seen != len(o.base.vertices):
-        raise GraphError("verified orientation unexpectedly cyclic")
-    return height, max(height.values())
+    succ = o.succ
+    height = [1] * len(succ)
+    # an arc (u,v) of a transitive orientation has succ(v) ⊊ succ(u), so
+    # decreasing successor count is a topological order
+    for u in sorted(range(len(succ)), key=lambda i: succ[i].bit_count(), reverse=True):
+        for v in _bits(succ[u]):
+            height[v] = max(height[v], height[u] + 1)
+    return dict(zip(o.base.vertices, height)), max(height)
 
 
 def is_bipartite(g: UndirectedGraph):
@@ -532,8 +556,9 @@ class _TargetReached(Exception):
     pass
 
 
-def _mis_search(nbr, budget, stop_at=None, should_stop=None):
-    """Branch-and-bound maximum independent set over bitmasks.
+def _mis_search(nbr, budget, stop_at=None, should_stop=None, within=None):
+    """Branch-and-bound maximum independent set over bitmasks, among the
+    vertices of the mask `within` (default: all).
 
     Branches on the highest-degree remaining vertex; prunes with the
     trivial |current| + |remaining| bound. Returns (best_mask, complete,
@@ -541,7 +566,6 @@ def _mis_search(nbr, budget, stop_at=None, should_stop=None):
     """
     best = {"size": -1, "mask": 0}
     nodes = 0
-    full = (1 << len(nbr)) - 1
 
     def rec(avail, cur_mask, cur_size):
         nonlocal nodes
@@ -569,7 +593,7 @@ def _mis_search(nbr, budget, stop_at=None, should_stop=None):
 
     complete = True
     try:
-        rec(full, 0, 0)
+        rec((1 << len(nbr)) - 1 if within is None else within, 0, 0)
     except _BudgetExhausted:
         complete = False
     except _TargetReached:
