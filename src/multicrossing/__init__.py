@@ -6,6 +6,7 @@ graphs, recognises the relevant graph classes, and solves the Candidate
 Deletion and k-Candidate Partition closeness measures exactly.
 """
 from .analysis import (
+    AnalysisInputError,
     AnalysisResult,
     candidate_deletion,
     candidate_partition,

@@ -29,6 +29,10 @@ from .graphs import (
 DEFAULT_BUDGET = 10_000_000
 
 
+class AnalysisInputError(ValueError):
+    """The arguments describe no instance the analysis accepts."""
+
+
 @dataclass
 class AnalysisResult:
     kind: str  # "deletion" | "partition"
@@ -119,7 +123,7 @@ def candidate_deletion(e: Election, k: int, budget: int = DEFAULT_BUDGET,
     in candidate-name lexicographic order among the maximum ones.
     """
     if k < 0:
-        raise ValueError("deletion budget must be >= 0")
+        raise AnalysisInputError("deletion budget must be >= 0")
     gamma = multicrossing_graph(e)
     if e.n <= 3 and not force_general:
         o = _vote1_orientation(e, gamma)
@@ -172,7 +176,7 @@ def candidate_partition(e: Election, k: int, budget: int = DEFAULT_BUDGET,
     coloring, otherwise exact backtracking.
     """
     if k < 1:
-        raise ValueError("number of parts must be >= 1")
+        raise AnalysisInputError("number of parts must be >= 1")
     gamma = multicrossing_graph(e)
     nodes, exceeded = 0, False
     if k == 2 and not force_general:

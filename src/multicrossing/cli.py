@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success / affirmative answer, 1 well-formed negative
-answer, 2 input error (including construction arguments no instance
-matches), 3 solver budget exceeded, 4 internal error (any other
-exception, such as a failed self-verification).
+answer, 2 input error (including construction or analysis arguments no
+instance matches), 3 solver budget exceeded, 4 internal error (any
+other exception, such as a failed self-verification).
 """
 from __future__ import annotations
 
@@ -12,9 +12,9 @@ import json
 import sys
 from pathlib import Path
 
-from . import bruteforce
 from .analysis import (
     DEFAULT_BUDGET,
+    AnalysisInputError,
     candidate_deletion,
     candidate_partition,
 )
@@ -188,29 +188,6 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _cmd_oracle(args) -> int:
-    g = _load_graph(args.graph)
-    try:
-        if args.query == "mis":
-            size, witness = bruteforce.bf_independent_set(g)
-            print(f"{size}: " + " ".join(witness))
-            return EXIT_OK
-        if args.query == "chromatic":
-            chi, _ = bruteforce.bf_chromatic(g)
-            print(chi)
-            return EXIT_OK
-        if args.query == "comparability":
-            verdict = bruteforce.bf_transitive_orientation(g)
-        elif args.query == "permutation":
-            verdict = bruteforce.bf_permutation_diagram(g)
-        else:
-            verdict = bruteforce.bf_is_3_implementable(g)
-        print("yes" if verdict else "no")
-        return EXIT_OK if verdict else EXIT_NEGATIVE
-    except bruteforce.OracleLimitError as exc:
-        raise InputError(str(exc)) from None
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="multicross",
@@ -273,13 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
     gp.add_argument("--seed", type=int, required=True)
     gp.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("oracle")  # debugging aid, undocumented
-    p.add_argument("query",
-                   choices=["mis", "chromatic", "comparability",
-                            "permutation", "is3"])
-    p.add_argument("graph")
-    p.set_defaults(func=_cmd_oracle)
-
     return parser
 
 
@@ -288,7 +258,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, ElectionError, GraphError, ConstructionInputError) as exc:
+    except (InputError, ElectionError, GraphError, ConstructionInputError,
+            AnalysisInputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as exc:  # a fault of the program, never a negative answer

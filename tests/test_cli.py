@@ -113,6 +113,18 @@ def test_recognize(capsys, fixture_path, tmp_path):
     assert lines[3].startswith("pi2: ")
 
 
+def test_permutation_outputs_pinned(capsys, fixture_path, fixture_text):
+    # vertices in the order 8 12 1 9 ..., so name order and index order differ:
+    # both outputs depend on which edge seeds each implication class
+    graph = str(fixture_path("perm12.graph"))
+    code, out, _ = run(capsys, "recognize", graph)
+    assert code == 0
+    assert out == fixture_text("perm12.recognize")
+    code, out, _ = run(capsys, "implement", "--family", "permutation", graph)
+    assert code == 0
+    assert out == fixture_text("perm12.elec")
+
+
 def test_recognize_negative(capsys, fixture_path):
     code, out, _ = run(capsys, "recognize", str(fixture_path("figure1.graph")))
     assert code == 1
@@ -148,16 +160,6 @@ def test_input_errors_exit_2(capsys, tmp_path):
     assert code == 2
 
 
-def test_oracle_subcommand(capsys, tmp_path):
-    graph_file = tmp_path / "c5.graph"
-    graph_file.write_text("5\n1 2 3 4 5\n1 2\n1 5\n2 3\n3 4\n4 5\n",
-                          encoding="utf-8")
-    code, out, _ = run(capsys, "oracle", "mis", str(graph_file))
-    assert code == 0 and out.startswith("2: ")
-    code, out, _ = run(capsys, "oracle", "is3", str(graph_file))
-    assert code == 1 and out.strip() == "no"
-
-
 def test_construction_argument_errors_exit_2(capsys, tmp_path):
     for family, size in [("cycle", 5), ("cycle", 2), ("path", 1)]:
         code, _, err = run(capsys, "implement", "--family", family, "--size", str(size))
@@ -168,6 +170,16 @@ def test_construction_argument_errors_exit_2(capsys, tmp_path):
     code, _, err = run(capsys, "implement", "--family", "tree", str(square))
     assert code == 2
     assert "not a tree" in err
+
+
+def test_analysis_range_errors_exit_2(capsys, fixture_path):
+    election = str(fixture_path("brexit.elec"))
+    for problem, k in [("deletion", "-1"), ("partition", "0")]:
+        code, out, err = run(capsys, "analyze", problem, election, "--k", k)
+        assert code == 2, problem
+        assert out == ""
+        assert err.startswith("error: ") and "internal" not in err
+        assert err.count("\n") == 1
 
 
 def test_internal_errors_exit_4(capsys, monkeypatch, fixture_path):
