@@ -270,6 +270,30 @@ def test_orientation_rejects_unknown_arcs():
         Orientation(g, [("1", "3")])
 
 
+def test_orientation_directs_each_edge_once():
+    g = path_graph(3)
+    for arcs in ([("1", "2"), ("2", "1"), ("2", "3")],  # an edge in both directions
+                 [("1", "2")],  # an edge left out
+                 [("1", "2"), ("2", "3"), ("x", "1")],  # an unknown vertex
+                 [("1", "2"), ("2", "3"), ("1", "3")]):  # a non-edge
+        with pytest.raises(GraphError):
+            Orientation(g, arcs)
+    o = Orientation(g, [("1", "2"), ("1", "2"), ("2", "3")])  # the arcs form a set
+    assert o.succ == (0b010, 0b100, 0)
+    assert o.arcs == {("1", "2"), ("2", "3")}
+
+
+@given(comparability_graphs())
+@settings(max_examples=60, deadline=None)
+def test_orientation_rebuilt_from_its_arcs(g):
+    o = transitive_orientation(g)
+    rebuilt = Orientation(g, o.arcs)
+    assert rebuilt.succ == o.succ
+    assert rebuilt.arcs == o.arcs
+    assert rebuilt.successor_map() == o.successor_map()
+    assert not rebuilt.verified and rebuilt.verify_transitive()
+
+
 # -------------------------------------------------------------- bipartite
 
 
