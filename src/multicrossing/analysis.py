@@ -7,7 +7,6 @@ solvers with a node budget.
 """
 from __future__ import annotations
 
-from contextlib import suppress
 from dataclasses import dataclass
 
 from .constructions import implement_general
@@ -85,13 +84,14 @@ def _vote1_orientation(e: Election, gamma: UndirectedGraph) -> Orientation:
 
 
 def _lexmin_max_independent_set(gamma: UndirectedGraph, size: int,
-                                size_within) -> tuple[str, ...]:
+                                size_within) -> tuple[str, ...] | None:
     """Lexicographically smallest (by candidate name) maximum independent set.
 
     Greedy over sorted names; a candidate joins when some maximum set
     extends the current choice using only later, compatible candidates.
     `size_within(pool)` is the maximum independent set size among the
-    candidates of the vertex mask `pool`.
+    candidates of the vertex mask `pool`, or None when that is unknown
+    (the search ran out of budget); the refinement then returns None.
     """
     vs, adj = gamma.vertices, gamma.adj
     later = (1 << len(vs)) - 1  # candidates not yet considered
@@ -103,6 +103,8 @@ def _lexmin_max_independent_set(gamma: UndirectedGraph, size: int,
             continue
         pool = later & ~(blocked | adj[c])
         extra = size_within(pool) if pool else 0
+        if extra is None:
+            return None
         if len(chosen) + 1 + extra >= size:
             chosen.append(vs[c])
             blocked |= adj[c]
@@ -114,8 +116,7 @@ def _lexmin_max_independent_set(gamma: UndirectedGraph, size: int,
 
 
 def candidate_deletion(e: Election, k: int, budget: int = DEFAULT_BUDGET,
-                       force_general: bool = False,
-                       should_stop=None) -> AnalysisResult:
+                       force_general: bool = False) -> AnalysisResult:
     """Keep at least |C|-k candidates whose restriction is single-crossing.
 
     Feasible iff the multi-crossing graph has an independent set of size
@@ -136,27 +137,20 @@ def candidate_deletion(e: Election, k: int, budget: int = DEFAULT_BUDGET,
         kept = _lexmin_max_independent_set(gamma, len(max_antichain(o)), size_within)
         method, complete, nodes = "three-voter-poly", True, 0
     else:
-        best, complete, nodes = maximum_independent_set(gamma, budget, should_stop)
+        best, complete, nodes = maximum_independent_set(gamma, budget)
         kept = tuple(sorted(best))
 
-        def size_within(pool: int) -> int:
+        def size_within(pool: int) -> int | None:
             found, done, _ = _mis_search(gamma.adj, budget, within=pool)
-            if not done:
-                raise _RefineBudget
-            return found.bit_count()
+            return found.bit_count() if done else None
 
-        if complete:
-            with suppress(_RefineBudget):
-                kept = _lexmin_max_independent_set(gamma, len(best), size_within)
+        if complete:  # a probe out of budget leaves the sorted maximum set
+            kept = _lexmin_max_independent_set(gamma, len(best), size_within) or kept
         method = "general-exact"
     return AnalysisResult(
         kind="deletion", feasible=len(kept) >= e.m - k, optimal=complete,
         budget_exceeded=not complete, method=method, nodes_explored=nodes, kept=kept,
     )
-
-
-class _RefineBudget(Exception):
-    pass
 
 
 def _classes_from_coloring(coloring: dict[str, int], order) -> tuple[tuple[str, ...], ...]:
@@ -167,8 +161,7 @@ def _classes_from_coloring(coloring: dict[str, int], order) -> tuple[tuple[str, 
 
 
 def candidate_partition(e: Election, k: int, budget: int = DEFAULT_BUDGET,
-                        force_general: bool = False,
-                        should_stop=None) -> AnalysisResult:
+                        force_general: bool = False) -> AnalysisResult:
     """Split the candidates into at most k single-crossing classes.
 
     Feasible iff the multi-crossing graph is k-colorable: k=2 via
@@ -188,7 +181,7 @@ def candidate_partition(e: Election, k: int, budget: int = DEFAULT_BUDGET,
         feasible = chi <= k
     else:
         method = "general-exact"
-        report = exact_coloring(gamma, k, budget, should_stop)
+        report = exact_coloring(gamma, k, budget)
         feasible, coloring, nodes = report.status == "found", report.witness, report.nodes
         exceeded = report.status == "budget-exceeded"
     classes = _classes_from_coloring(coloring, gamma.vertices) if feasible else None

@@ -5,7 +5,6 @@ refuses to release a result that does not match the target exactly.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .elections import Election, multicrossing_graph, restrict
@@ -118,7 +117,7 @@ def implement_even_cycle(s: int) -> ImplementationResult:
 
 
 def implement_tree(t: UndirectedGraph, root: str | None = None) -> ImplementationResult:
-    """Recursive 3-voter implementation of a tree.
+    """Bottom-up 3-voter implementation of a tree.
 
     Invariant maintained bottom-up: the first voter ranks the subtree
     root first. Children are processed in lexicographic order; the root
@@ -132,37 +131,29 @@ def implement_tree(t: UndirectedGraph, root: str | None = None) -> Implementatio
         raise ConstructionInputError(f"root {root!r} is not a vertex")
 
     children: dict[str, list[str]] = {v: [] for v in t.vertices}
+    order = [root]  # breadth-first; the list doubles as the queue
     seen = {root}
-    queue = deque([root])
-    while queue:
-        u = queue.popleft()
+    for u in order:
         for v in sorted(t.neighbors(u)):
             if v not in seen:
                 seen.add(v)
                 children[u].append(v)
-                queue.append(v)
-    if len(seen) != len(t.vertices):
+                order.append(v)
+    if len(order) != len(t.vertices):
         raise ConstructionInputError("input is not a tree (not connected)")
 
-    def build(r: str) -> tuple[list[str], list[str], list[str]]:
+    # votes of each subtree, built after its children's in reverse BFS order
+    built: dict[str, tuple[list[str], list[str], list[str]]] = {}
+    for r in reversed(order):
         kids = children[r]
-        if not kids:
-            return [r], [r], [r]
-        subs = [build(c) for c in kids]
-        v1 = [x for s in subs for x in s[0]]
-        v2 = [x for s in subs for x in s[1]]
-        v3 = [x for s in subs for x in s[2]]
+        subs = [built.pop(c) for c in kids]
         kidset = set(kids)
-        v1 = kids + [x for x in v1 if x not in kidset]
-        k = len(kids)
-        v1 = v1[:k] + [r] + v1[k:]
-        v2 = [r] + v2
-        v3 = v3 + [r]
+        v1 = kids + [r] + [x for s in subs for x in s[0] if x not in kidset]
+        v2 = [r] + [x for s in subs for x in s[1]]
+        v3 = [x for s in subs for x in s[2]] + [r]
         # reverse every vote, then reverse the voter order: r ends up first
-        return v3[::-1], v2[::-1], v1[::-1]
-
-    votes = build(root)
-    return _finish(t.vertices, votes, t)
+        built[r] = v3[::-1], v2[::-1], v1[::-1]
+    return _finish(t.vertices, built[root], t)
 
 
 def implement_permutation_graph(d: PermutationDiagram) -> ImplementationResult:

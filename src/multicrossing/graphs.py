@@ -548,37 +548,30 @@ class SolveReport:
     nodes: int
 
 
-class _BudgetExhausted(Exception):
-    pass
-
-
-class _TargetReached(Exception):
-    pass
-
-
-def _mis_search(nbr, budget, stop_at=None, should_stop=None, within=None):
+def _mis_search(nbr, budget, stop_at=None, within=None):
     """Branch-and-bound maximum independent set over bitmasks, among the
     vertices of the mask `within` (default: all).
 
-    Branches on the highest-degree remaining vertex; prunes with the
-    trivial |current| + |remaining| bound. Returns (best_mask, complete,
-    nodes); complete is False when the node budget ran out.
+    Depth-first on an explicit stack of (available, chosen, size) nodes.
+    Branches on the highest-degree available vertex, taking it before
+    leaving it out; prunes with the trivial |current| + |remaining|
+    bound. Returns (best_mask, complete, nodes); complete is False when
+    the node budget ran out, and True when a set of size `stop_at` ends
+    the search early.
     """
-    best = {"size": -1, "mask": 0}
-    nodes = 0
-
-    def rec(avail, cur_mask, cur_size):
-        nonlocal nodes
+    best_size, best_mask, nodes = -1, 0, 0
+    stack = [((1 << len(nbr)) - 1 if within is None else within, 0, 0)]
+    while stack:
+        avail, cur_mask, cur_size = stack.pop()
         nodes += 1
-        if nodes > budget or (should_stop is not None and should_stop()):
-            raise _BudgetExhausted
-        if cur_size > best["size"]:
-            best["size"] = cur_size
-            best["mask"] = cur_mask
+        if nodes > budget:
+            return best_mask, False, nodes
+        if cur_size > best_size:
+            best_size, best_mask = cur_size, cur_mask
             if stop_at is not None and cur_size >= stop_at:
-                raise _TargetReached
-        if avail == 0 or cur_size + avail.bit_count() <= best["size"]:
-            return
+                return best_mask, True, nodes
+        if avail == 0 or cur_size + avail.bit_count() <= best_size:
+            continue
         pick, pick_deg = -1, -1
         rest = avail
         while rest:
@@ -588,31 +581,22 @@ def _mis_search(nbr, budget, stop_at=None, should_stop=None, within=None):
             if d > pick_deg:
                 pick, pick_deg = v, d
         bit = 1 << pick
-        rec(avail & ~nbr[pick] & ~bit, cur_mask | bit, cur_size + 1)
-        rec(avail & ~bit, cur_mask, cur_size)
-
-    complete = True
-    try:
-        rec((1 << len(nbr)) - 1 if within is None else within, 0, 0)
-    except _BudgetExhausted:
-        complete = False
-    except _TargetReached:
-        complete = True  # early exit after hitting the target is decisive
-    return best["mask"], complete, nodes
+        stack.append((avail & ~bit, cur_mask, cur_size))
+        stack.append((avail & ~nbr[pick] & ~bit, cur_mask | bit, cur_size + 1))
+    return best_mask, True, nodes
 
 
-def maximum_independent_set(g: UndirectedGraph, budget=10_000_000, should_stop=None):
+def maximum_independent_set(g: UndirectedGraph, budget=10_000_000):
     """Exact maximum independent set. Returns (vertices, complete, nodes)."""
-    mask, complete, nodes = _mis_search(g.adj, budget, should_stop=should_stop)
+    mask, complete, nodes = _mis_search(g.adj, budget)
     return tuple(g.vertices[i] for i in _bits(mask)), complete, nodes
 
 
-def exact_independent_set(g: UndirectedGraph, t: int, budget=10_000_000,
-                          should_stop=None) -> SolveReport:
+def exact_independent_set(g: UndirectedGraph, t: int, budget=10_000_000) -> SolveReport:
     """Find an independent set of size >= t, or prove there is none."""
     if t < 1:
         raise GraphError("target size must be at least 1")
-    mask, complete, nodes = _mis_search(g.adj, budget, stop_at=t, should_stop=should_stop)
+    mask, complete, nodes = _mis_search(g.adj, budget, stop_at=t)
     found = tuple(g.vertices[i] for i in _bits(mask))
     if len(found) >= t:
         return SolveReport("found", found, nodes)
@@ -621,13 +605,12 @@ def exact_independent_set(g: UndirectedGraph, t: int, budget=10_000_000,
     return SolveReport("budget-exceeded", None, nodes)
 
 
-def exact_coloring(g: UndirectedGraph, k: int, budget=10_000_000,
-                   should_stop=None) -> SolveReport:
+def exact_coloring(g: UndirectedGraph, k: int, budget=10_000_000) -> SolveReport:
     """Proper k-coloring by backtracking, or proof that none exists.
 
     Vertices are colored by decreasing degree. Symmetry is broken by
     allowing each vertex at most one fresh color; a greedy clique gives a
-    quick lower-bound refusal.
+    quick lower-bound refusal. Each step to a new vertex counts one node.
     """
     if k < 1:
         raise GraphError("k must be at least 1")
@@ -641,29 +624,30 @@ def exact_coloring(g: UndirectedGraph, k: int, budget=10_000_000,
         return SolveReport("infeasible", None, 0)
     n = len(order)
     members = [0] * (k + 1)  # members[c]: bitmask of the vertices colored c
-    nodes = 0
-
-    def rec(i, used):
-        nonlocal nodes
-        if i == n:
-            return True
-        nodes += 1
-        if nodes > budget or (should_stop is not None and should_stop()):
-            raise _BudgetExhausted
+    stack: list[tuple[int, int]] = []  # (color, colors used before) per colored vertex
+    nodes = c = used = i = 0  # c: the color last tried at vertex order[i], i = len(stack)
+    while i < n:
         v = order[i]
-        for c in range(1, min(k, used + 1) + 1):
-            if not adj[v] & members[c]:
-                members[c] |= 1 << v
-                if rec(i + 1, max(used, c)):
-                    return True
-                members[c] ^= 1 << v
-        return False
-
-    try:
-        ok = rec(0, 0)
-    except _BudgetExhausted:
-        return SolveReport("budget-exceeded", None, nodes)
-    if not ok:
-        return SolveReport("infeasible", None, nodes)
+        if not c:
+            nodes += 1
+            if nodes > budget:
+                return SolveReport("budget-exceeded", None, nodes)
+        top = used + 1 if used < k else k
+        c += 1
+        while c <= top and adj[v] & members[c]:
+            c += 1
+        if c <= top:
+            members[c] |= 1 << v
+            stack.append((c, used))
+            if c > used:
+                used = c
+            c = 0
+            i += 1
+        elif i:
+            c, used = stack.pop()
+            i -= 1
+            members[c] ^= 1 << order[i]
+        else:
+            return SolveReport("infeasible", None, nodes)
     witness = {g.vertices[v]: c for c, mask in enumerate(members) for v in _bits(mask)}
     return SolveReport("found", witness, nodes)

@@ -1,5 +1,6 @@
 """Elections built to realise a target multi-crossing graph."""
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -90,6 +91,17 @@ def test_tree_round_trip(v, seed):
     result = implement_tree(t)
     assert result.verified
     assert multicrossing_graph(result.election) == t
+    assert result.voters_used == 3
+
+
+def test_tree_deeper_than_recursion_limit():
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(250)
+    try:
+        result = implement_tree(path_graph(1200))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert result.verified
     assert result.voters_used == 3
 
 

@@ -264,6 +264,23 @@ def test_matching_paths_longer_than_recursion_limit():
     assert chains == [list(e.votes[0])]
 
 
+def test_solvers_deeper_than_recursion_limit():
+    # every vertex of an edgeless graph adds one level to both searches
+    g = UndirectedGraph([str(i) for i in range(1, 1201)])
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(250)
+    try:
+        best, complete, _ = maximum_independent_set(g)
+        found = exact_independent_set(g, 1200)
+        colored = exact_coloring(g, 1)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(best) == 1200 and complete
+    assert found.status == "found"
+    assert colored.status == "found"
+    assert set(colored.witness.values()) == {1}
+
+
 def test_orientation_rejects_unknown_arcs():
     g = path_graph(3)
     with pytest.raises(Exception):
@@ -362,3 +379,43 @@ def test_budget_exhaustion_reported():
     sparse = random_graph(40, 0.1, seed=7)  # clique number < 4, so no shortcut
     report = exact_coloring(sparse, 3, budget=5)
     assert report.status == "budget-exceeded"
+
+
+# Search order: kept vertices, completeness and node counts of seeded
+# searches, written with the recursive solvers that the loops replaced.
+MIS_PINS = [
+    ((30, 0.3, 1), 10_000_000, ([4, 8, 10, 13, 16, 17, 18, 26, 27, 28], True, 451)),
+    ((40, 0.2, 2), 10_000_000,
+     ([4, 7, 10, 14, 20, 22, 23, 25, 26, 28, 29, 31, 38], True, 3531)),
+    ((25, 0.5, 3), 10_000_000, ([1, 5, 6, 12, 19, 21], True, 193)),
+    ((60, 0.1, 4), 2000,
+     ([1, 8, 11, 12, 13, 15, 16, 20, 21, 24, 25, 29, 36, 38, 45, 46, 47, 48, 55, 59],
+      False, 2001)),
+]
+
+
+@pytest.mark.parametrize("spec, budget, expected", MIS_PINS)
+def test_mis_search_order_pinned(spec, budget, expected):
+    v, p, seed = spec
+    best, complete, nodes = maximum_independent_set(random_graph(v, p, seed=seed), budget)
+    assert (sorted(map(int, best)), complete, nodes) == expected
+
+
+# witness: the color of each vertex, in vertex order
+COLORING_PINS = [
+    ((25, 0.3, 5), 4, 10_000_000, ("found", 46, "4122332214213424111314343")),
+    ((30, 0.2, 4), 4, 10_000_000, ("found", 65, "423112144212121433441322132212")),
+    ((30, 0.3, 9), 5, 10_000_000, ("found", 1032, "415533131443124231311543125224")),
+    ((40, 0.15, 7), 3, 10_000_000, ("infeasible", 341, None)),
+    ((35, 0.25, 8), 4, 10_000_000, ("infeasible", 430, None)),
+    ((40, 0.15, 7), 3, 300, ("budget-exceeded", 301, None)),
+]
+
+
+@pytest.mark.parametrize("spec, k, budget, expected", COLORING_PINS)
+def test_coloring_search_order_pinned(spec, k, budget, expected):
+    v, p, seed = spec
+    g = random_graph(v, p, seed=seed)
+    report = exact_coloring(g, k, budget)
+    witness = report.witness and "".join(str(report.witness[x]) for x in g.vertices)
+    assert (report.status, report.nodes, witness) == expected
