@@ -125,6 +125,8 @@ def candidate_deletion(e: Election, k: int, budget: int = DEFAULT_BUDGET,
     """
     if k < 0:
         raise AnalysisInputError("deletion budget must be >= 0")
+    if budget < 0:
+        raise AnalysisInputError("node budget must be >= 0")
     gamma = multicrossing_graph(e)
     if e.n <= 3 and not force_general:
         o = _vote1_orientation(e, gamma)
@@ -170,6 +172,8 @@ def candidate_partition(e: Election, k: int, budget: int = DEFAULT_BUDGET,
     """
     if k < 1:
         raise AnalysisInputError("number of parts must be >= 1")
+    if budget < 0:
+        raise AnalysisInputError("node budget must be >= 0")
     gamma = multicrossing_graph(e)
     nodes, exceeded = 0, False
     if k == 2 and not force_general:

@@ -106,7 +106,7 @@ def _cmd_gamma(args) -> int:
 
 def _cmd_implement(args) -> int:
     family = args.family or "general"
-    if family in ("path", "cycle", "clique", "empty", "fullsc"):
+    if family in ("path", "cycle", "clique", "empty"):
         if args.size is None:
             raise InputError(f"--family {family} requires --size")
     if family == "path":
@@ -146,11 +146,9 @@ def _cmd_fullsc(args) -> int:
 def _cmd_analyze(args) -> int:
     e = _load_election(args.election)
     if args.problem == "deletion":
-        result = candidate_deletion(e, args.k, budget=args.budget,
-                                    force_general=args.force_general)
+        result = candidate_deletion(e, args.k, budget=args.budget)
     else:
-        result = candidate_partition(e, args.k, budget=args.budget,
-                                     force_general=args.force_general)
+        result = candidate_partition(e, args.k, budget=args.budget)
     print(json.dumps(result.to_json_dict(), indent=2, sort_keys=True))
     if result.budget_exceeded:
         return EXIT_BUDGET
@@ -226,7 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
         ap.add_argument("election")
         ap.add_argument("--k", type=int, required=True)
         ap.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-        ap.add_argument("--force-general", action="store_true")
         ap.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("recognize", help="comparability/permutation verdicts")

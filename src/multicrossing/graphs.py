@@ -623,9 +623,10 @@ def exact_coloring(g: UndirectedGraph, k: int, budget=10_000_000) -> SolveReport
     if clique.bit_count() > k:
         return SolveReport("infeasible", None, 0)
     n = len(order)
+    k = min(k, n)  # no vertex ever opens a color beyond the vertex count
     members = [0] * (k + 1)  # members[c]: bitmask of the vertices colored c
     stack: list[tuple[int, int]] = []  # (color, colors used before) per colored vertex
-    nodes = c = used = i = 0  # c: the color last tried at vertex order[i], i = len(stack)
+    nodes = c = used = i = 0  # i = len(stack); c: last color tried at order[i], 0 if none
     while i < n:
         v = order[i]
         if not c:

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multicrossing import (
+    AnalysisInputError,
     candidate_deletion,
     candidate_partition,
     multicrossing_graph,
@@ -124,6 +125,15 @@ def test_partition_rejects_k_zero(fixture_text):
     e = parse_election(fixture_text("brexit.elec"))
     with pytest.raises(ValueError):
         candidate_partition(e, 0)
+
+
+def test_negative_budget_rejected(fixture_text):
+    e = parse_election(fixture_text("brexit.elec"))
+    for analyze, k in ((candidate_deletion, 0), (candidate_partition, 1)):
+        with pytest.raises(AnalysisInputError):
+            analyze(e, k, budget=-5)
+        # a budget of 0 is allowed, and the general search exceeds it at once
+        assert analyze(e, k, budget=0, force_general=True).budget_exceeded
 
 
 def test_partition_budget_exceeded():

@@ -174,9 +174,11 @@ def test_construction_argument_errors_exit_2(capsys, tmp_path):
 
 def test_analysis_range_errors_exit_2(capsys, fixture_path):
     election = str(fixture_path("brexit.elec"))
-    for problem, k in [("deletion", "-1"), ("partition", "0")]:
-        code, out, err = run(capsys, "analyze", problem, election, "--k", k)
-        assert code == 2, problem
+    for problem, args in [("deletion", ["--k", "-1"]), ("partition", ["--k", "0"]),
+                          ("deletion", ["--k", "2", "--budget", "-5"]),
+                          ("partition", ["--k", "2", "--budget", "-5"])]:
+        code, out, err = run(capsys, "analyze", problem, election, *args)
+        assert code == 2, (problem, args)
         assert out == ""
         assert err.startswith("error: ") and "internal" not in err
         assert err.count("\n") == 1

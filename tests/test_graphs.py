@@ -419,3 +419,8 @@ def test_coloring_search_order_pinned(spec, k, budget, expected):
     report = exact_coloring(g, k, budget)
     witness = report.witness and "".join(str(report.witness[x]) for x in g.vertices)
     assert (report.status, report.nodes, witness) == expected
+
+
+def test_coloring_with_more_colors_than_vertices():
+    g = random_graph(12, 0.3, seed=3)
+    assert exact_coloring(g, 10**9) == exact_coloring(g, len(g.vertices))
