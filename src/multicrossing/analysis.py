@@ -84,14 +84,15 @@ def _vote1_orientation(e: Election, gamma: UndirectedGraph) -> Orientation:
 
 
 def _lexmin_max_independent_set(gamma: UndirectedGraph, size: int,
-                                size_within) -> tuple[str, ...] | None:
+                                holds) -> tuple[str, ...] | None:
     """Lexicographically smallest (by candidate name) maximum independent set.
 
     Greedy over sorted names; a candidate joins when some maximum set
     extends the current choice using only later, compatible candidates.
-    `size_within(pool)` is the maximum independent set size among the
-    candidates of the vertex mask `pool`, or None when that is unknown
-    (the search ran out of budget); the refinement then returns None.
+    `holds(pool, need)` answers whether the candidates of the vertex mask
+    `pool` include `need` (>= 1) independent ones: True, False, or None
+    when that is unknown (the search ran out of budget); the refinement
+    then returns None.
     """
     vs, adj = gamma.vertices, gamma.adj
     later = (1 << len(vs)) - 1  # candidates not yet considered
@@ -101,11 +102,12 @@ def _lexmin_max_independent_set(gamma: UndirectedGraph, size: int,
         later ^= 1 << c
         if blocked >> c & 1:
             continue
+        need = size - len(chosen) - 1
         pool = later & ~(blocked | adj[c])
-        extra = size_within(pool) if pool else 0
-        if extra is None:
+        extends = need <= 0 or (pool.bit_count() >= need and holds(pool, need))
+        if extends is None:
             return None
-        if len(chosen) + 1 + extra >= size:
+        if extends:
             chosen.append(vs[c])
             blocked |= adj[c]
         if len(chosen) == size:
@@ -131,23 +133,29 @@ def candidate_deletion(e: Election, k: int, budget: int = DEFAULT_BUDGET,
     if e.n <= 3 and not force_general:
         o = _vote1_orientation(e, gamma)
 
-        def size_within(pool: int) -> int:
+        def holds(pool: int, need: int) -> bool:
             if not _transitive(o.succ, pool):
                 raise GraphError(_NOT_TRANSITIVE)
-            return _antichain(o, pool).bit_count()
+            return _antichain(o, pool).bit_count() >= need
 
-        kept = _lexmin_max_independent_set(gamma, len(max_antichain(o)), size_within)
+        kept = _lexmin_max_independent_set(gamma, len(max_antichain(o)), holds)
         method, complete, nodes = "three-voter-poly", True, 0
     else:
         best, complete, nodes = maximum_independent_set(gamma, budget)
         kept = tuple(sorted(best))
 
-        def size_within(pool: int) -> int | None:
-            found, done, _ = _mis_search(gamma.adj, budget, within=pool)
-            return found.bit_count() if done else None
+        def holds(pool: int, need: int) -> bool | None:
+            nonlocal nodes  # every probe draws on what the solve left of the budget
+            found, done, used = _mis_search(gamma.adj, budget - nodes, stop_at=need, within=pool)
+            nodes += used
+            if found.bit_count() >= need:
+                return True
+            return False if done else None
 
         if complete:  # a probe out of budget leaves the sorted maximum set
-            kept = _lexmin_max_independent_set(gamma, len(best), size_within) or kept
+            lexmin = _lexmin_max_independent_set(gamma, len(best), holds)
+            complete = lexmin is not None
+            kept = lexmin or kept
         method = "general-exact"
     return AnalysisResult(
         kind="deletion", feasible=len(kept) >= e.m - k, optimal=complete,

@@ -552,12 +552,22 @@ def _mis_search(nbr, budget, stop_at=None, within=None):
     """Branch-and-bound maximum independent set over bitmasks, among the
     vertices of the mask `within` (default: all).
 
-    Depth-first on an explicit stack of (available, chosen, size) nodes.
-    Branches on the highest-degree available vertex, taking it before
-    leaving it out; prunes with the trivial |current| + |remaining|
-    bound. Returns (best_mask, complete, nodes); complete is False when
-    the node budget ran out, and True when a set of size `stop_at` ends
-    the search early.
+    Depth-first on an explicit stack of (available, chosen, size) nodes,
+    each counting one node of `budget`. At a node:
+
+    1. Every available vertex with at most one available neighbour is
+       taken (its neighbour, if any, is dropped), repeatedly: some
+       maximum set among the available vertices contains it.
+    2. The node is pruned when |chosen| + |available|, or |chosen| plus
+       the size of a greedy clique cover of the available vertices (an
+       independent set has at most one vertex per clique; Tomita & Seki,
+       DMTCS 2003), cannot beat the best set so far.
+    3. Otherwise it branches on the highest-degree available vertex,
+       taking it before leaving it out.
+
+    Returns (best_mask, complete, nodes); complete is False when the
+    node budget ran out, and True when a set of at least `stop_at`
+    vertices ends the search early.
     """
     best_size, best_mask, nodes = -1, 0, 0
     stack = [((1 << len(nbr)) - 1 if within is None else within, 0, 0)]
@@ -566,20 +576,42 @@ def _mis_search(nbr, budget, stop_at=None, within=None):
         nodes += 1
         if nodes > budget:
             return best_mask, False, nodes
+        folded = True
+        while folded:  # degree-0/1 folding; the last pass finds the branch vertex
+            folded, pick, pick_deg = False, -1, -1
+            rest = avail
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                v = low.bit_length() - 1
+                near = nbr[v] & avail
+                if near & (near - 1) == 0:
+                    cur_mask |= low
+                    cur_size += 1
+                    avail &= ~(low | near)
+                    rest &= ~near
+                    folded = True
+                elif not folded:
+                    d = near.bit_count()
+                    if d > pick_deg:
+                        pick, pick_deg = v, d
         if cur_size > best_size:
             best_size, best_mask = cur_size, cur_mask
             if stop_at is not None and cur_size >= stop_at:
                 return best_mask, True, nodes
-        if avail == 0 or cur_size + avail.bit_count() <= best_size:
+        room = best_size - cur_size  # the most cliques a cover may have and still prune
+        if avail == 0 or avail.bit_count() <= room:
             continue
-        pick, pick_deg = -1, -1
-        rest = avail
-        while rest:
-            v = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            d = (nbr[v] & avail).bit_count()
-            if d > pick_deg:
-                pick, pick_deg = v, d
+        cliques, rest = 0, avail
+        while rest and cliques <= room:
+            cliques += 1
+            grow = rest
+            while grow:
+                low = grow & -grow
+                rest ^= low
+                grow &= nbr[low.bit_length() - 1]
+        if cliques <= room:
+            continue
         bit = 1 << pick
         stack.append((avail & ~bit, cur_mask, cur_size))
         stack.append((avail & ~nbr[pick] & ~bit, cur_mask | bit, cur_size + 1))
@@ -608,46 +640,73 @@ def exact_independent_set(g: UndirectedGraph, t: int, budget=10_000_000) -> Solv
 def exact_coloring(g: UndirectedGraph, k: int, budget=10_000_000) -> SolveReport:
     """Proper k-coloring by backtracking, or proof that none exists.
 
-    Vertices are colored by decreasing degree. Symmetry is broken by
-    allowing each vertex at most one fresh color; a greedy clique gives a
-    quick lower-bound refusal. Each step to a new vertex counts one node.
+    DSATUR branching (Brélaz, CACM 22(4), 1979): the next vertex is the
+    uncolored one adjacent to the most distinct colors, ties going to the
+    most uncolored neighbours and then the lowest index. Each color keeps
+    the mask of the vertices adjacent to it, restored on backtracking, so
+    the saturation levels take O(k²) mask operations per step. Symmetry
+    is broken by allowing each vertex at most one fresh color; a greedy
+    clique gives a quick lower-bound refusal. Each step to a new vertex
+    counts one node.
     """
     if k < 1:
         raise GraphError("k must be at least 1")
     adj = g.adj
-    order = sorted(range(len(adj)), key=lambda v: adj[v].bit_count(), reverse=True)
     clique = 0
-    for v in order:
+    for v in sorted(range(len(adj)), key=lambda v: adj[v].bit_count(), reverse=True):
         if adj[v] & clique == clique:
             clique |= 1 << v
     if clique.bit_count() > k:
         return SolveReport("infeasible", None, 0)
-    n = len(order)
-    k = min(k, n)  # no vertex ever opens a color beyond the vertex count
+    k = min(k, len(adj))  # no vertex ever opens a color beyond the vertex count
     members = [0] * (k + 1)  # members[c]: bitmask of the vertices colored c
-    stack: list[tuple[int, int]] = []  # (color, colors used before) per colored vertex
-    nodes = c = used = i = 0  # i = len(stack); c: last color tried at order[i], 0 if none
-    while i < n:
-        v = order[i]
-        if not c:
+    seen = [0] * (k + 1)  # seen[c]: bitmask of the vertices adjacent to color c
+    # per colored vertex: (vertex, color, colors used before, seen[color] before)
+    stack: list[tuple[int, int, int, int]] = []
+    uncolored = (1 << len(adj)) - 1
+    nodes = used = c = 0  # c: last color tried at v, 0 if none
+    v = -1  # the vertex being colored, -1 to pick the next one
+    while True:
+        if v < 0:
+            if not uncolored:
+                break
             nodes += 1
             if nodes > budget:
                 return SolveReport("budget-exceeded", None, nodes)
+            levels = [uncolored]  # levels[s]: uncolored vertices adjacent to >= s colors
+            for near in seen[1:used + 1]:
+                near &= uncolored
+                if near:
+                    levels.append(levels[-1] & near)
+                    for s in range(len(levels) - 2, 0, -1):
+                        levels[s] |= levels[s - 1] & near
+            while not levels[-1]:
+                levels.pop()
+            pick_deg, rest = -1, levels[-1]
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                u = low.bit_length() - 1
+                d = (adj[u] & uncolored).bit_count()
+                if d > pick_deg:
+                    v, pick_deg = u, d
         top = used + 1 if used < k else k
         c += 1
-        while c <= top and adj[v] & members[c]:
+        while c <= top and seen[c] >> v & 1:
             c += 1
         if c <= top:
+            stack.append((v, c, used, seen[c]))
             members[c] |= 1 << v
-            stack.append((c, used))
+            seen[c] |= adj[v]
+            uncolored ^= 1 << v
             if c > used:
                 used = c
-            c = 0
-            i += 1
-        elif i:
-            c, used = stack.pop()
-            i -= 1
-            members[c] ^= 1 << order[i]
+            v, c = -1, 0
+        elif stack:
+            v, c, used, before = stack.pop()
+            seen[c] = before
+            members[c] ^= 1 << v
+            uncolored |= 1 << v
         else:
             return SolveReport("infeasible", None, nodes)
     witness = {g.vertices[v]: c for c, mask in enumerate(members) for v in _bits(mask)}

@@ -13,6 +13,7 @@ from multicrossing import (
     reduce_independent_set,
     restrict,
     is_single_crossing,
+    maximum_independent_set,
 )
 from multicrossing import bruteforce as bf
 from multicrossing.generate import random_election, random_graph
@@ -86,6 +87,30 @@ def test_deletion_budget_exceeded():
     assert is_single_crossing(restrict(e, result.kept))[0]
 
 
+def test_deletion_budget_covers_the_refinement():
+    e, k = reduce_independent_set(random_graph(30, 0.3, seed=1), 10)
+    best, complete, mis_nodes = maximum_independent_set(multicrossing_graph(e))
+    assert complete
+    full = candidate_deletion(e, k)
+    assert full.optimal and full.nodes_explored > mis_nodes  # the probes are counted
+    assert candidate_deletion(e, k, budget=full.nodes_explored) == full
+    # enough for the maximum set, not for the lexmin probes
+    short = candidate_deletion(e, k, budget=mis_nodes)
+    assert short.budget_exceeded and not short.optimal
+    assert short.kept == tuple(sorted(best))
+    assert short.nodes_explored == mis_nodes + 1
+    assert candidate_deletion(e, k, budget=full.nodes_explored - 1).budget_exceeded
+
+
+def test_deletion_decided_on_g80():
+    # Independent Set on G(80, 0.1, seed 7): 29 kept at the default budget
+    # with the trivial bound, within 50 000 nodes with the clique-cover bound
+    e, k = reduce_independent_set(random_graph(80, 0.1, seed=7), 29)
+    result = candidate_deletion(e, k, budget=50_000)
+    assert result.optimal and not result.budget_exceeded
+    assert len(result.kept) == 29 and result.feasible
+
+
 # -------------------------------------------------------------- partition
 
 
@@ -142,6 +167,16 @@ def test_partition_budget_exceeded():
     result = candidate_partition(e, 3, budget=5, force_general=True)
     assert result.budget_exceeded
     assert not result.optimal
+
+
+def test_partition_decided_on_g80():
+    g = random_graph(80, 0.1, seed=7)
+    result = candidate_partition(reduce_coloring(g, 4), 4, budget=50_000)
+    assert result.optimal and not result.budget_exceeded
+    if result.feasible:
+        color = {c: i for i, cls in enumerate(result.classes) for c in cls}
+        assert len(result.classes) <= 4 and color.keys() == set(g.vertices)
+        assert all(color[a] != color[b] for a, b in g.edges)
 
 
 def test_json_shape(fixture_text):

@@ -34,6 +34,7 @@ from multicrossing.generate import (
     random_graph,
     random_permutation_diagram,
 )
+from multicrossing.graphs import _mis_search
 
 
 def graphs(max_v=8):
@@ -371,6 +372,22 @@ def test_exact_coloring_matches_oracle(g, k):
         assert len(set(report.witness.values())) <= k
 
 
+@given(graphs(max_v=10), st.integers(min_value=0, max_value=2**10 - 1),
+       st.one_of(st.none(), st.integers(min_value=1, max_value=10)))
+@settings(max_examples=80, deadline=None)
+def test_mis_search_within_pool(g, pool, stop_at):
+    pool &= (1 << len(g.vertices)) - 1
+    found, complete, _ = _mis_search(g.adj, 10_000_000, stop_at=stop_at, within=pool)
+    assert complete
+    assert found & ~pool == 0
+    assert not any(g.adj[v] & found for v in range(len(g.vertices)) if found >> v & 1)
+    size = found.bit_count()
+    if stop_at is not None and size >= stop_at:
+        return
+    members = [v for i, v in enumerate(g.vertices) if pool >> i & 1]
+    assert size == (bf.bf_independent_set(g.induced(members))[0] if members else 0)
+
+
 def test_budget_exhaustion_reported():
     g = random_graph(30, 0.5, seed=7)
     best, complete, nodes = maximum_independent_set(g, budget=5)
@@ -382,15 +399,15 @@ def test_budget_exhaustion_reported():
 
 
 # Search order: kept vertices, completeness and node counts of seeded
-# searches, written with the recursive solvers that the loops replaced.
+# searches, written with the clique-cover bound and DSATUR branching.
 MIS_PINS = [
-    ((30, 0.3, 1), 10_000_000, ([4, 8, 10, 13, 16, 17, 18, 26, 27, 28], True, 451)),
+    ((30, 0.3, 1), 10_000_000, ([4, 8, 10, 13, 16, 17, 18, 26, 27, 28], True, 41)),
     ((40, 0.2, 2), 10_000_000,
-     ([4, 7, 10, 14, 20, 22, 23, 25, 26, 28, 29, 31, 38], True, 3531)),
-    ((25, 0.5, 3), 10_000_000, ([1, 5, 6, 12, 19, 21], True, 193)),
-    ((60, 0.1, 4), 2000,
-     ([1, 8, 11, 12, 13, 15, 16, 20, 21, 24, 25, 29, 36, 38, 45, 46, 47, 48, 55, 59],
-      False, 2001)),
+     ([2, 4, 7, 10, 14, 20, 21, 22, 25, 26, 28, 37, 38], True, 91)),
+    ((25, 0.5, 3), 10_000_000, ([1, 5, 6, 12, 19, 21], True, 39)),
+    ((90, 0.1, 4), 2000,
+     ([4, 7, 10, 14, 16, 17, 19, 21, 22, 23, 27, 28, 39, 46, 48, 50, 55, 59, 63, 65, 69,
+       75, 76, 78, 80, 82, 83, 85, 86], False, 2001)),
 ]
 
 
@@ -403,12 +420,12 @@ def test_mis_search_order_pinned(spec, budget, expected):
 
 # witness: the color of each vertex, in vertex order
 COLORING_PINS = [
-    ((25, 0.3, 5), 4, 10_000_000, ("found", 46, "4122332214213424111314343")),
-    ((30, 0.2, 4), 4, 10_000_000, ("found", 65, "423112144212121433441322132212")),
-    ((30, 0.3, 9), 5, 10_000_000, ("found", 1032, "415533131443124231311543125224")),
-    ((40, 0.15, 7), 3, 10_000_000, ("infeasible", 341, None)),
-    ((35, 0.25, 8), 4, 10_000_000, ("infeasible", 430, None)),
-    ((40, 0.15, 7), 3, 300, ("budget-exceeded", 301, None)),
+    ((25, 0.3, 5), 4, 10_000_000, ("found", 30, "4122332214213424111314343")),
+    ((30, 0.2, 4), 4, 10_000_000, ("found", 30, "324112144212121344331322132212")),
+    ((30, 0.3, 9), 5, 10_000_000, ("found", 76, "314455151334123251511434124223")),
+    ((40, 0.15, 7), 3, 10_000_000, ("infeasible", 7, None)),
+    ((35, 0.25, 8), 4, 10_000_000, ("infeasible", 17, None)),
+    ((100, 0.05, 4), 3, 300, ("budget-exceeded", 301, None)),
 ]
 
 
