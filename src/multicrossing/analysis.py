@@ -123,7 +123,9 @@ def candidate_deletion(e: Election, k: int, budget: int = DEFAULT_BUDGET,
 
     Feasible iff the multi-crossing graph has an independent set of size
     |C|-k; the returned kept set is a maximum independent set, smallest
-    in candidate-name lexicographic order among the maximum ones.
+    in candidate-name lexicographic order among the maximum ones. On the
+    general path `budget` bounds the nodes of the whole analysis, that
+    refinement included, and `nodes_explored` counts them all.
     """
     if k < 0:
         raise AnalysisInputError("deletion budget must be >= 0")
