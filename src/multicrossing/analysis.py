@@ -12,20 +12,18 @@ from dataclasses import dataclass
 from .constructions import implement_general
 from .elections import Election, multicrossing_graph
 from .graphs import (
+    DEFAULT_BUDGET,
     GraphError,
     Orientation,
     UndirectedGraph,
     _antichain,
     _mis_search,
-    _transitive,
     exact_coloring,
     is_bipartite,
     max_antichain,
     maximum_independent_set,
     mirsky_coloring,
 )
-
-DEFAULT_BUDGET = 10_000_000
 
 
 class AnalysisInputError(ValueError):
@@ -36,12 +34,15 @@ class AnalysisInputError(ValueError):
 class AnalysisResult:
     kind: str  # "deletion" | "partition"
     feasible: bool
-    optimal: bool
     budget_exceeded: bool
     method: str  # "general-exact" | "three-voter-poly" | "bipartite-poly"
     nodes_explored: int
     kept: tuple[str, ...] | None = None
     classes: tuple[tuple[str, ...], ...] | None = None
+
+    @property
+    def optimal(self) -> bool:
+        return not self.budget_exceeded
 
     def to_json_dict(self) -> dict:
         out = {
@@ -62,13 +63,12 @@ class AnalysisResult:
         return out
 
 
-_NOT_TRANSITIVE = "vote-1 orientation of a <=3-voter election not transitive"
-
-
 def _vote1_orientation(e: Election, gamma: UndirectedGraph) -> Orientation:
     """Orient each multi-crossing edge by the first voter's preference.
 
-    For elections with at most 3 voters this is always transitive.
+    For elections with at most 3 voters this is always transitive. It is
+    checked once here: its restriction to any candidate pool is then
+    transitive too, so the lexmin probes need no check of their own.
     """
     index, adj = gamma.index, gamma.adj
     succ = [0] * len(adj)
@@ -79,7 +79,7 @@ def _vote1_orientation(e: Election, gamma: UndirectedGraph) -> Orientation:
         below |= 1 << i
     o = Orientation._from_masks(gamma, succ)
     if not o.verify_transitive():
-        raise GraphError(_NOT_TRANSITIVE)
+        raise GraphError("vote-1 orientation of a <=3-voter election not transitive")
     return o
 
 
@@ -117,8 +117,7 @@ def _lexmin_max_independent_set(gamma: UndirectedGraph, size: int,
     return tuple(chosen)
 
 
-def candidate_deletion(e: Election, k: int, budget: int = DEFAULT_BUDGET,
-                       force_general: bool = False) -> AnalysisResult:
+def candidate_deletion(e: Election, k: int, budget: int = DEFAULT_BUDGET) -> AnalysisResult:
     """Keep at least |C|-k candidates whose restriction is single-crossing.
 
     Feasible iff the multi-crossing graph has an independent set of size
@@ -132,12 +131,10 @@ def candidate_deletion(e: Election, k: int, budget: int = DEFAULT_BUDGET,
     if budget < 0:
         raise AnalysisInputError("node budget must be >= 0")
     gamma = multicrossing_graph(e)
-    if e.n <= 3 and not force_general:
+    if e.n <= 3:
         o = _vote1_orientation(e, gamma)
 
         def holds(pool: int, need: int) -> bool:
-            if not _transitive(o.succ, pool):
-                raise GraphError(_NOT_TRANSITIVE)
             return _antichain(o, pool).bit_count() >= need
 
         kept = _lexmin_max_independent_set(gamma, len(max_antichain(o)), holds)
@@ -160,8 +157,8 @@ def candidate_deletion(e: Election, k: int, budget: int = DEFAULT_BUDGET,
             kept = lexmin or kept
         method = "general-exact"
     return AnalysisResult(
-        kind="deletion", feasible=len(kept) >= e.m - k, optimal=complete,
-        budget_exceeded=not complete, method=method, nodes_explored=nodes, kept=kept,
+        kind="deletion", feasible=len(kept) >= e.m - k, budget_exceeded=not complete,
+        method=method, nodes_explored=nodes, kept=kept,
     )
 
 
@@ -172,8 +169,7 @@ def _classes_from_coloring(coloring: dict[str, int], order) -> tuple[tuple[str, 
     return tuple(tuple(sorted(vs)) for _, vs in sorted(by_color.items()))
 
 
-def candidate_partition(e: Election, k: int, budget: int = DEFAULT_BUDGET,
-                        force_general: bool = False) -> AnalysisResult:
+def candidate_partition(e: Election, k: int, budget: int = DEFAULT_BUDGET) -> AnalysisResult:
     """Split the candidates into at most k single-crossing classes.
 
     Feasible iff the multi-crossing graph is k-colorable: k=2 via
@@ -186,10 +182,10 @@ def candidate_partition(e: Election, k: int, budget: int = DEFAULT_BUDGET,
         raise AnalysisInputError("node budget must be >= 0")
     gamma = multicrossing_graph(e)
     nodes, exceeded = 0, False
-    if k == 2 and not force_general:
+    if k == 2:
         method = "bipartite-poly"
         feasible, coloring = is_bipartite(gamma)
-    elif e.n <= 3 and not force_general:
+    elif e.n <= 3:
         method = "three-voter-poly"
         coloring, chi = mirsky_coloring(_vote1_orientation(e, gamma))
         feasible = chi <= k
@@ -200,8 +196,8 @@ def candidate_partition(e: Election, k: int, budget: int = DEFAULT_BUDGET,
         exceeded = report.status == "budget-exceeded"
     classes = _classes_from_coloring(coloring, gamma.vertices) if feasible else None
     return AnalysisResult(
-        kind="partition", feasible=feasible, optimal=not exceeded,
-        budget_exceeded=exceeded, method=method, nodes_explored=nodes, classes=classes,
+        kind="partition", feasible=feasible, budget_exceeded=exceeded,
+        method=method, nodes_explored=nodes, classes=classes,
     )
 
 

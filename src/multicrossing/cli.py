@@ -129,10 +129,8 @@ def _cmd_implement(args) -> int:
                 print("not a permutation graph", file=sys.stderr)
                 return EXIT_NEGATIVE
             result = implement_permutation_graph(diagram)
-        elif family == "general":
-            result = implement_general(g)
         else:
-            raise InputError(f"unknown family {family!r}")
+            result = implement_general(g)
     print(f"# voters_used: {result.voters_used}")
     sys.stdout.write(emit_election(result.election))
     return EXIT_OK

@@ -116,20 +116,16 @@ def implement_even_cycle(s: int) -> ImplementationResult:
     return _finish(_int_names(s), votes, cycle_graph(s))
 
 
-def implement_tree(t: UndirectedGraph, root: str | None = None) -> ImplementationResult:
+def implement_tree(t: UndirectedGraph) -> ImplementationResult:
     """Bottom-up 3-voter implementation of a tree.
 
     Invariant maintained bottom-up: the first voter ranks the subtree
-    root first. Children are processed in lexicographic order; the root
-    defaults to the lexicographically smallest vertex.
+    root first. The root is the lexicographically smallest vertex, and
+    children are processed in lexicographic order.
     """
     if len(t.edges) != len(t.vertices) - 1:
         raise ConstructionInputError("input is not a tree (wrong edge count)")
-    if root is None:
-        root = min(t.vertices)
-    elif root not in t.vertices:
-        raise ConstructionInputError(f"root {root!r} is not a vertex")
-
+    root = min(t.vertices)
     children: dict[str, list[str]] = {v: [] for v in t.vertices}
     order = [root]  # breadth-first; the list doubles as the queue
     seen = {root}

@@ -52,6 +52,8 @@ class Election:
 
     def positions(self, voter: int) -> dict[str, int]:
         """Rank of each candidate in the given voter's ballot (1-based voter)."""
+        if not 1 <= voter <= self.n:
+            raise ElectionError(f"voter {voter!r} is not in 1..{self.n}")
         return {c: i for i, c in enumerate(self.votes[voter - 1])}
 
     def prefers(self, voter: int, a: str, b: str) -> bool:

@@ -245,19 +245,9 @@ class Orientation:
 
     def verify_transitive(self) -> bool:
         """Explicit check: every arc (u,v) has succ(v) ⊆ succ(u)."""
-        self._verified = _transitive(self.succ, (1 << len(self.succ)) - 1)
+        succ = self.succ
+        self._verified = all((succ[v] | out) == out for out in succ for v in _bits(out))
         return self._verified
-
-
-def _transitive(succ, within: int) -> bool:
-    """Whether the arcs among the vertices of the mask `within` are
-    transitive: succ(v) ⊆ succ(u) inside `within` for each arc (u,v)."""
-    for u in _bits(within):
-        out = succ[u] & within
-        outside = within ^ out
-        if any(succ[v] & outside for v in _bits(out)):
-            return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -535,6 +525,9 @@ def _odd_cycle(u, v, parent):
     return cycle
 
 
+DEFAULT_BUDGET = 10_000_000  # search nodes allowed to an exact solve or analysis
+
+
 @dataclass
 class SolveReport:
     """Outcome of an exact NP-hard solve.
@@ -618,13 +611,13 @@ def _mis_search(nbr, budget, stop_at=None, within=None):
     return best_mask, True, nodes
 
 
-def maximum_independent_set(g: UndirectedGraph, budget=10_000_000):
+def maximum_independent_set(g: UndirectedGraph, budget=DEFAULT_BUDGET):
     """Exact maximum independent set. Returns (vertices, complete, nodes)."""
     mask, complete, nodes = _mis_search(g.adj, budget)
     return tuple(g.vertices[i] for i in _bits(mask)), complete, nodes
 
 
-def exact_independent_set(g: UndirectedGraph, t: int, budget=10_000_000) -> SolveReport:
+def exact_independent_set(g: UndirectedGraph, t: int, budget=DEFAULT_BUDGET) -> SolveReport:
     """Find an independent set of size >= t, or prove there is none."""
     if t < 1:
         raise GraphError("target size must be at least 1")
@@ -637,7 +630,7 @@ def exact_independent_set(g: UndirectedGraph, t: int, budget=10_000_000) -> Solv
     return SolveReport("budget-exceeded", None, nodes)
 
 
-def exact_coloring(g: UndirectedGraph, k: int, budget=10_000_000) -> SolveReport:
+def exact_coloring(g: UndirectedGraph, k: int, budget=DEFAULT_BUDGET) -> SolveReport:
     """Proper k-coloring by backtracking, or proof that none exists.
 
     DSATUR branching (Brélaz, CACM 22(4), 1979): the next vertex is the

@@ -14,9 +14,11 @@ import numpy as np
 import pytest
 
 from multicrossing import (
+    Election,
     candidate_deletion,
     candidate_partition,
     emit_election,
+    exact_coloring,
     fully_single_crossing,
     implement_clique,
     implement_even_cycle,
@@ -163,19 +165,20 @@ def test_criterion_7_poset_path_equivalence():
             chi = bf.bf_chromatic(gamma)[0]
 
             k = rng.randint(0, e.m)
+            # a repeated last vote adds no crossing: same gamma, 4 voters
+            twin = Election(e.candidates, e.votes + e.votes[-1:])
             poly = candidate_deletion(e, k)
-            general = candidate_deletion(e, k, force_general=True)
+            general = candidate_deletion(twin, k)
             assert poly.method == "three-voter-poly"
             assert general.method == "general-exact"
             assert len(poly.kept) == len(general.kept) == mis
             assert poly.feasible == general.feasible == (mis >= e.m - k)
 
-            poly = candidate_partition(e, e.m, force_general=False)
+            poly = candidate_partition(e, e.m)
             assert poly.feasible and len(poly.classes) == chi
-            assert candidate_partition(e, chi, force_general=True).feasible
+            assert exact_coloring(gamma, chi).status == "found"
             if chi > 1:
-                assert not candidate_partition(
-                    e, chi - 1, force_general=True).feasible
+                assert exact_coloring(gamma, chi - 1).status == "infeasible"
 
 
 def test_criterion_8_reduction_soundness():
@@ -191,8 +194,9 @@ def test_criterion_8_reduction_soundness():
             chi = bf.bf_chromatic(g)[0]
             for parts in (2, 3, 4):
                 e = reduce_coloring(g, parts)
-                got = candidate_partition(e, parts, force_general=True)
-                assert got.feasible == (chi <= parts)
+                got = candidate_partition(e, parts)
+                exact = exact_coloring(multicrossing_graph(e), parts)
+                assert got.feasible == (exact.status == "found") == (chi <= parts)
 
 
 def test_criterion_9_ramsey_extraction():

@@ -1,12 +1,16 @@
 """Candidate Deletion and k-Candidate Partition solvers."""
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multicrossing import (
     AnalysisInputError,
+    Election,
     candidate_deletion,
     candidate_partition,
+    exact_coloring,
     multicrossing_graph,
     parse_election,
     reduce_coloring,
@@ -28,6 +32,22 @@ def three_voter_elections(max_m=10):
         st.sampled_from([2, 3]),
         seeds,
     )
+
+
+def four_voter_twin(e):
+    """`e` with its last vote repeated up to 4 voters: the same multi-crossing
+    graph (identical neighbouring votes add no crossing), analysed by the
+    general exact solvers instead of the <=3-voter poset path."""
+    return Election(e.candidates, e.votes + e.votes[-1:] * (4 - e.n))
+
+
+def lexmin_oracle(gamma):
+    """The first independent tuple of the maximum size among the name-sorted
+    combinations, that is the lexicographically smallest maximum set."""
+    size, _ = bf.bf_independent_set(gamma)
+    for kept in combinations(sorted(gamma.vertices), size):
+        if not any(gamma.has_edge(a, b) for a, b in combinations(kept, 2)):
+            return kept
 
 
 # -------------------------------------------------------------- deletion
@@ -54,15 +74,16 @@ def test_deletion_path_fixture(fixture_text):
 @given(three_voter_elections(), st.integers(min_value=0, max_value=10))
 @settings(max_examples=60, deadline=None)
 def test_deletion_poly_vs_general_vs_oracle(e, k):
+    twin = four_voter_twin(e)
+    gamma = multicrossing_graph(e)
+    assert multicrossing_graph(twin) == gamma
     poly = candidate_deletion(e, k)
-    general = candidate_deletion(e, k, force_general=True)
+    general = candidate_deletion(twin, k)
     assert poly.method == "three-voter-poly"
     assert general.method == "general-exact"
-    gamma = multicrossing_graph(e)
-    size, _ = bf.bf_independent_set(gamma)
-    assert len(poly.kept) == len(general.kept) == size
-    assert poly.kept == general.kept  # both lexicographically smallest
-    assert poly.feasible == general.feasible == (size >= e.m - k)
+    oracle = lexmin_oracle(gamma)  # m <= 10
+    assert poly.kept == general.kept == oracle  # both lexicographically smallest
+    assert poly.feasible == general.feasible == (len(oracle) >= e.m - k)
 
 
 @given(three_voter_elections())
@@ -127,10 +148,13 @@ def test_partition_path_fixture(fixture_text):
 @given(three_voter_elections(), st.integers(min_value=1, max_value=6))
 @settings(max_examples=60, deadline=None)
 def test_partition_poly_vs_general_vs_oracle(e, k):
-    poly = candidate_partition(e, k, force_general=False)
-    general = candidate_partition(e, k, force_general=True)
-    chi, _ = bf.bf_chromatic(multicrossing_graph(e))
-    assert poly.feasible == general.feasible == (chi <= k)
+    poly = candidate_partition(e, k)
+    general = candidate_partition(four_voter_twin(e), k)
+    assert general.method == ("bipartite-poly" if k == 2 else "general-exact")
+    gamma = multicrossing_graph(e)
+    chi, _ = bf.bf_chromatic(gamma)
+    exact = exact_coloring(gamma, k).status == "found"  # the exact solver at every k
+    assert poly.feasible == general.feasible == exact == (chi <= k)
     if poly.feasible:
         for result in (poly, general):
             assert len(result.classes) <= k
@@ -158,14 +182,15 @@ def test_negative_budget_rejected(fixture_text):
         with pytest.raises(AnalysisInputError):
             analyze(e, k, budget=-5)
         # a budget of 0 is allowed, and the general search exceeds it at once
-        assert analyze(e, k, budget=0, force_general=True).budget_exceeded
+        result = analyze(e, k, budget=0)  # 4 voters: the general path
+        assert result.method == "general-exact" and result.budget_exceeded
 
 
 def test_partition_budget_exceeded():
     # sparse target so the clique lower bound cannot refuse instantly
     e = reduce_coloring(random_graph(40, 0.1, seed=7), 3)
-    result = candidate_partition(e, 3, budget=5, force_general=True)
-    assert result.budget_exceeded
+    result = candidate_partition(e, 3, budget=5)
+    assert result.method == "general-exact" and result.budget_exceeded
     assert not result.optimal
 
 
@@ -218,5 +243,6 @@ def test_independent_set_reduction_sound(g, t):
 def test_coloring_reduction_sound(g, k):
     e = reduce_coloring(g, k)
     colorable = bf.bf_chromatic(g)[0] <= k
-    result = candidate_partition(e, k, force_general=True)
-    assert result.feasible == colorable
+    result = candidate_partition(e, k)
+    exact = exact_coloring(multicrossing_graph(e), k)
+    assert result.feasible == (exact.status == "found") == colorable

@@ -117,7 +117,6 @@ def test_argument_errors_are_input_errors():
     # the CLI maps these to its input-error exit code
     for build in (lambda: implement_path(1), lambda: implement_even_cycle(5),
                   lambda: implement_tree(cycle_graph(4)),
-                  lambda: implement_tree(path_graph(3), root="9"),
                   lambda: fully_single_crossing(1)):
         with pytest.raises(ConstructionInputError):
             build()

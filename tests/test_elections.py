@@ -67,6 +67,19 @@ def test_emit_parse_round_trip(e):
     assert parse_election(emit_election(e)) == e
 
 
+@given(st.one_of(st.text(), elections().map(emit_election)), st.data())
+@settings(max_examples=300)
+def test_parse_any_text(text, data):
+    # splice up to 3 arbitrary characters over up to 3 at one place
+    i = data.draw(st.integers(0, len(text)))
+    text = text[:i] + data.draw(st.text(max_size=3)) + text[i + data.draw(st.integers(0, 3)):]
+    try:
+        e = parse_election(text)
+    except ElectionParseError:
+        return
+    assert parse_election(emit_election(e)) == e
+
+
 # Candidate names the election format can carry: no whitespace, no ">",
 # no leading "#".
 candidate_names = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1,
@@ -87,6 +100,16 @@ def test_unreadable_candidate_names_rejected():
             Election(bad, (bad,))
     with pytest.raises(ElectionParseError):
         parse_election("2 1\ny #x\ny>#x")
+
+
+def test_voter_outside_range_rejected(fixture_text):
+    e = parse_election(fixture_text("brexit.elec"))  # 4 voters
+    assert e.positions(4) == {"N": 0, "D": 1, "R": 2}
+    for voter in (0, -1, 5):
+        with pytest.raises(ElectionError):
+            e.positions(voter)
+        with pytest.raises(ElectionError):
+            e.prefers(voter, "D", "N")
 
 
 def test_election_validation():

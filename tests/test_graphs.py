@@ -135,6 +135,19 @@ def test_emit_parse_round_trip(g):
     assert parse_graph(emit_graph(g)) == g
 
 
+@given(st.one_of(st.text(), graphs().map(emit_graph)), st.data())
+@settings(max_examples=300)
+def test_parse_any_text(text, data):
+    # splice up to 3 arbitrary characters over up to 3 at one place
+    i = data.draw(st.integers(0, len(text)))
+    text = text[:i] + data.draw(st.text(max_size=3)) + text[i + data.draw(st.integers(0, 3)):]
+    try:
+        g = parse_graph(text)
+    except GraphParseError:
+        return
+    assert parse_graph(emit_graph(g)) == g
+
+
 @given(graphs(max_v=5))
 def test_dot_output_is_deterministic(g):
     out = emit_dot(g)
