@@ -17,6 +17,7 @@ from .graphs import (
     Orientation,
     UndirectedGraph,
     _antichain,
+    _later,
     _mis_search,
     exact_coloring,
     is_bipartite,
@@ -70,14 +71,8 @@ def _vote1_orientation(e: Election, gamma: UndirectedGraph) -> Orientation:
     checked once here: its restriction to any candidate pool is then
     transitive too, so the lexmin probes need no check of their own.
     """
-    index, adj = gamma.index, gamma.adj
-    succ = [0] * len(adj)
-    below = 0  # the candidates the first voter ranks below the current one
-    for c in reversed(e.votes[0]):
-        i = index[c]
-        succ[i] = adj[i] & below
-        below |= 1 << i
-    o = Orientation._from_masks(gamma, succ)
+    below = _later(e.votes[0], gamma.index)  # the candidates the first voter ranks below
+    o = Orientation._from_masks(gamma, [a & b for a, b in zip(gamma.adj, below)])
     if not o.verify_transitive():
         raise GraphError("vote-1 orientation of a <=3-voter election not transitive")
     return o

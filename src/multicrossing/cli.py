@@ -157,7 +157,8 @@ def _cmd_recognize(args) -> int:
     g = _load_graph(args.graph)
     orientation = transitive_orientation(g)
     print(f"comparability: {'yes' if orientation is not None else 'no'}")
-    diagram = recognize_permutation(g)
+    # a permutation graph is a comparability graph
+    diagram = recognize_permutation(g) if orientation is not None else None
     if diagram is None:
         print("permutation: no")
         return EXIT_NEGATIVE

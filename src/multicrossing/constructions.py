@@ -12,6 +12,7 @@ from .graphs import (
     GraphError,
     PermutationDiagram,
     UndirectedGraph,
+    _later,
     _linear_order,
 )
 
@@ -28,8 +29,14 @@ class ConstructionInputError(ConstructionError):
 class ImplementationResult:
     election: Election
     target: UndirectedGraph
-    verified: bool
-    voters_used: int
+
+    @property
+    def verified(self) -> bool:
+        return True  # `_finish` releases no result that fails self-verification
+
+    @property
+    def voters_used(self) -> int:
+        return self.election.n
 
 
 def _finish(candidates, votes, target: UndirectedGraph) -> ImplementationResult:
@@ -41,7 +48,7 @@ def _finish(candidates, votes, target: UndirectedGraph) -> ImplementationResult:
             f"missing={sorted(target.edges - got.edges)} "
             f"extra={sorted(got.edges - target.edges)}"
         )
-    return ImplementationResult(election, target, True, election.n)
+    return ImplementationResult(election, target)
 
 
 def _int_names(s: int) -> list[str]:
@@ -62,16 +69,13 @@ def cycle_graph(s: int) -> UndirectedGraph:
 def implement_empty(vertices) -> ImplementationResult:
     """Three identical voters: nothing ever crosses."""
     vs = tuple(vertices)
-    vote = tuple(vs)
-    return _finish(vs, [vote, vote, vote], UndirectedGraph(vs, []))
+    return implement_permutation_graph(PermutationDiagram(vs, vs))
 
 
 def implement_clique(vertices) -> ImplementationResult:
     """First and third voters agree, the second ranks in reverse."""
     vs = tuple(vertices)
-    vote = tuple(vs)
-    rev = tuple(reversed(vs))
-    return _finish(vs, [vote, rev, vote], UndirectedGraph(vs).complement())
+    return implement_permutation_graph(PermutationDiagram(vs, vs[::-1]))
 
 
 def _path_votes(s: int) -> tuple[list[int], list[int]]:
@@ -164,12 +168,8 @@ def _rebase_witness(g: UndirectedGraph, first) -> tuple[str, ...] | None:
     order; None when the induced tournament is cyclic, i.e. no witness
     with this first permutation exists.
     """
-    succ = [0] * len(g.vertices)
-    later = (1 << len(g.vertices)) - 1
-    for v in first:
-        i = g.index[v]
-        later ^= 1 << i
-        succ[i] = later ^ g.adj[i]  # later non-neighbours and earlier neighbours
+    # later non-neighbours and earlier neighbours
+    succ = [after ^ a for after, a in zip(_later(first, g.index), g.adj)]
     return _linear_order(succ, g.vertices)
 
 
@@ -186,39 +186,22 @@ def intersect_implementations(d1: PermutationDiagram,
     if set(d1.pi1) != set(d2.pi1):
         raise GraphError("diagrams must share the vertex set")
     vertices = d1.pi1
-    g1, g2 = (UndirectedGraph(vertices, d.induced_edges()) for d in (d1, d2))
+    index = {v: i for i, v in enumerate(vertices)}
+    g1, g2 = (UndirectedGraph._from_masks(vertices, d._adj(index)) for d in (d1, d2))
     target = UndirectedGraph._from_masks(vertices, [a & b for a, b in zip(g1.adj, g2.adj)])
-
-    def rev(p):
-        return tuple(reversed(p))
-
-    attempts = [
-        (g2, mid, "d1-first")
-        for mid in (d1.pi2, d1.pi1, rev(d1.pi2), rev(d1.pi1))
-    ] + [
-        (g1, mid, "d2-last")
-        for mid in (d2.pi1, d2.pi2, rev(d2.pi1), rev(d2.pi2))
-    ]
-
-    for other, mid, shape in attempts:
-        third = _rebase_witness(other, mid)
-        if third is None:
-            continue
-        if shape == "d1-first":
-            # (w1, mid) witnesses e1 since mid is one of d1's permutations
-            w1 = d1.pi1 if mid in (d1.pi2, rev(d1.pi2)) else d1.pi2
-            if mid in (rev(d1.pi1), rev(d1.pi2)):
-                w1 = rev(w1)
-            votes = [w1, mid, third]
-        else:
-            w3 = d2.pi2 if mid in (d2.pi1, rev(d2.pi1)) else d2.pi1
-            if mid in (rev(d2.pi1), rev(d2.pi2)):
-                w3 = rev(w3)
-            votes = [third, mid, w3]
-        try:
-            return _finish(vertices, votes, target)
-        except ConstructionError:
-            continue
+    # profile (x, mid, y): (x, mid) is a witness pair of d1 and g2 is rebased
+    # onto mid, or (mid, y) is one of d2 and g1 is rebased onto mid
+    for d, other, opens in ((d1, g2, True), (d2, g1, False)):
+        p, q = d.pi1, d.pi2
+        for pair in ((p, q), (q, p), (p[::-1], q[::-1]), (q[::-1], p[::-1])):
+            third = _rebase_witness(other, pair[1] if opens else pair[0])
+            if third is None:
+                continue
+            votes = [*pair, third] if opens else [third, *pair]
+            try:
+                return _finish(vertices, votes, target)
+            except ConstructionError:
+                continue
     raise ConstructionError(
         "no shared-middle witness found; the edge intersection may not be "
         "3-implementable from these diagrams"

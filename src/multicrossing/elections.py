@@ -58,6 +58,9 @@ class Election:
 
     def prefers(self, voter: int, a: str, b: str) -> bool:
         pos = self.positions(voter)
+        for c in (a, b):
+            if c not in pos:
+                raise ElectionError(f"unknown candidate {c!r}")
         return pos[a] < pos[b]
 
 

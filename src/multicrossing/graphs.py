@@ -4,10 +4,8 @@ NP-hard solvers used by the analyzers."""
 from __future__ import annotations
 
 import re
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
 
 
 class GraphError(ValueError):
@@ -42,6 +40,20 @@ _ONE = re.compile("1")
 def _bits(mask: int) -> list[int]:
     """Indices of the set bits of `mask`, ascending."""
     return [m.start() for m in _ONE.finditer(bin(mask)[:1:-1])]
+
+
+def _later(order, index) -> list[int]:
+    """Per vertex index, the bitmask of the vertices `order` places after it.
+
+    Two orders rank the pair {i, j} differently exactly when bit j of
+    vertex i's mask differs between them.
+    """
+    later, after = [0] * len(index), 0
+    for v in reversed(order):
+        i = index[v]
+        later[i] = after
+        after |= 1 << i
+    return later
 
 
 class UndirectedGraph:
@@ -258,20 +270,23 @@ class PermutationDiagram:
     pi2: tuple[str, ...]
 
     def __post_init__(self):
-        if set(self.pi1) != set(self.pi2) or len(set(self.pi1)) != len(self.pi1):
+        n = len(self.pi1)
+        if set(self.pi1) != set(self.pi2) or len(set(self.pi1)) != n or len(self.pi2) != n:
             raise GraphError("pi1 and pi2 must be permutations of the same vertex set")
+        if not self.pi1:
+            raise GraphError("graph needs at least one vertex")
+        _check_names(self.pi1, GraphError)
+
+    def _adj(self, index) -> list[int]:
+        """Edge bitmasks over the vertex indices `index`."""
+        return [a ^ b for a, b in zip(_later(self.pi1, index), _later(self.pi2, index))]
 
     def induced_edges(self) -> frozenset[tuple[str, str]]:
-        p1 = {v: i for i, v in enumerate(self.pi1)}
-        p2 = {v: i for i, v in enumerate(self.pi2)}
-        return frozenset(
-            vertex_pair(u, v)
-            for u, v in combinations(self.pi1, 2)
-            if (p1[u] < p1[v]) != (p2[u] < p2[v])
-        )
+        return self.graph().edges
 
     def graph(self) -> UndirectedGraph:
-        return UndirectedGraph(self.pi1, sorted(self.induced_edges()))
+        index = {v: i for i, v in enumerate(self.pi1)}
+        return UndirectedGraph._from_masks(self.pi1, self._adj(index))
 
 
 def _force_class(u: int, v: int, rem) -> dict[int, int] | None:
@@ -361,7 +376,7 @@ def recognize_permutation(g: UndirectedGraph) -> PermutationDiagram | None:
     if pi1 is None or pi2 is None:
         return None
     diagram = PermutationDiagram(pi1, pi2)
-    if diagram.induced_edges() != g.edges:
+    if diagram._adj(g.index) != list(g.adj):
         return None
     return diagram
 
@@ -490,29 +505,28 @@ def mirsky_coloring(o: Orientation) -> tuple[dict[str, int], int]:
 
 def is_bipartite(g: UndirectedGraph):
     """BFS 2-coloring. Returns (True, coloring) or (False, odd_cycle)."""
-    color: dict[str, int] = {}
-    parent: dict[str, str | None] = {}
-    for root in g.vertices:
-        if root in color:
+    adj = g.adj
+    color = [-1] * len(adj)
+    parent = [-1] * len(adj)
+    for root in range(len(adj)):
+        if color[root] >= 0:
             continue
         color[root] = 0
-        parent[root] = None
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for v in sorted(g.neighbors(u)):
-                if v not in color:
+        queue = [root]  # breadth-first; the list doubles as the queue
+        for u in queue:
+            for v in _bits(adj[u]):
+                if color[v] < 0:
                     color[v] = 1 - color[u]
                     parent[v] = u
                     queue.append(v)
                 elif color[v] == color[u]:
-                    return False, _odd_cycle(u, v, parent)
-    return True, color
+                    return False, [g.vertices[x] for x in _odd_cycle(u, v, parent)]
+    return True, dict(zip(g.vertices, color))
 
 
 def _odd_cycle(u, v, parent):
     anc_u = [u]
-    while parent[anc_u[-1]] is not None:
+    while parent[anc_u[-1]] >= 0:
         anc_u.append(parent[anc_u[-1]])
     on_u = {x: i for i, x in enumerate(anc_u)}
     path_v = [v]

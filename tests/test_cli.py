@@ -125,10 +125,17 @@ def test_permutation_outputs_pinned(capsys, fixture_path, fixture_text):
     assert out == fixture_text("perm12.elec")
 
 
-def test_recognize_negative(capsys, fixture_path):
+def test_recognize_negative(capsys, monkeypatch, fixture_path, tmp_path):
     code, out, _ = run(capsys, "recognize", str(fixture_path("figure1.graph")))
     assert code == 1
-    assert "permutation: no" in out
+    assert out == "comparability: yes\npermutation: no\n"
+    # not a comparability graph, so not a permutation graph: no second orientation
+    c5 = tmp_path / "c5.graph"
+    c5.write_text("5\n1 2 3 4 5\n1 2\n2 3\n3 4\n4 5\n5 1\n", encoding="utf-8")
+    monkeypatch.setattr(cli, "recognize_permutation", None)  # calling it fails
+    code, out, _ = run(capsys, "recognize", str(c5))
+    assert code == 1
+    assert out == "comparability: no\npermutation: no\n"
 
 
 def test_ramsey(capsys, fixture_path):
@@ -161,7 +168,7 @@ def test_input_errors_exit_2(capsys, tmp_path):
 
 
 def test_construction_argument_errors_exit_2(capsys, tmp_path):
-    for family, size in [("cycle", 5), ("cycle", 2), ("path", 1)]:
+    for family, size in [("cycle", 5), ("cycle", 2), ("path", 1), ("clique", 0), ("empty", 0)]:
         code, _, err = run(capsys, "implement", "--family", family, "--size", str(size))
         assert code == 2, (family, size)
         assert err.startswith("error:")

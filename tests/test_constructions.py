@@ -203,6 +203,20 @@ def test_intersection_with_clique():
     assert multicrossing_graph(result.election) == other.graph()
 
 
+@pytest.mark.parametrize("seed, text", [
+    (2, "5 3\n3 2 4 5 1\n3>2>4>5>1\n4>1>5>3>2\n2>3>1>4>5\n"),
+    (12, "5 3\n1 2 5 3 4\n3>5>1>4>2\n1>2>5>3>4\n3>1>2>4>5\n"),
+    (4, "5 3\n4 5 1 3 2\n4>2>5>1>3\n2>5>3>1>4\n5>1>4>3>2\n"),
+    (5, "5 3\n1 2 4 3 5\n3>2>1>4>5\n4>1>2>3>5\n1>2>3>5>4\n"),
+])
+def test_intersection_election_pinned(seed, text):
+    # the witness pairs are tried in a fixed order: (pi1, pi2) and (pi2, pi1)
+    # of the first diagram win for seeds 2 and 12, those of the second for 4 and 5
+    d1 = random_permutation_diagram(5, seed=seed)
+    d2 = random_permutation_diagram(5, seed=seed + 1000)
+    assert emit_election(intersect_implementations(d1, d2).election) == text
+
+
 @given(st.integers(min_value=2, max_value=10), seeds, seeds)
 @settings(max_examples=60, deadline=None)
 def test_intersection_when_it_succeeds_is_correct(v, s1, s2):

@@ -112,6 +112,13 @@ def test_voter_outside_range_rejected(fixture_text):
             e.prefers(voter, "D", "N")
 
 
+def test_prefers_unknown_candidate_rejected(fixture_text):
+    e = parse_election(fixture_text("brexit.elec"))
+    for a, b in (("X", "N"), ("D", "X")):
+        with pytest.raises(ElectionError, match="unknown candidate 'X'"):
+            e.prefers(1, a, b)
+
+
 def test_election_validation():
     with pytest.raises(Exception):
         Election(("a", "b"), (("a",),))

@@ -221,6 +221,28 @@ def test_diagram_graph_is_recognized(d):
 def test_diagram_requires_matching_permutations():
     with pytest.raises(Exception):
         PermutationDiagram(("a", "b"), ("a", "c"))
+    with pytest.raises(GraphError):
+        PermutationDiagram(("a", "b"), ("a", "b", "a"))
+
+
+@given(st.builds(random_permutation_diagram,
+                 st.integers(min_value=1, max_value=20),
+                 st.integers(min_value=0, max_value=2**32 - 1)))
+def test_diagram_edges_are_the_inverted_pairs(d):
+    p1 = {v: i for i, v in enumerate(d.pi1)}
+    p2 = {v: i for i, v in enumerate(d.pi2)}
+    inverted = {tuple(sorted((u, v))) for u, v in combinations(d.pi1, 2)
+                if (p1[u] < p1[v]) != (p2[u] < p2[v])}
+    assert d.graph().edges == inverted
+    assert d.induced_edges() == inverted
+
+
+def test_diagram_rejects_bad_vertex_sets():
+    for bad in (("a b", "c"), ("#x", "y")):
+        with pytest.raises(GraphError, match="invalid name"):
+            PermutationDiagram(bad, bad[::-1])
+    with pytest.raises(GraphError, match="graph needs at least one vertex"):
+        PermutationDiagram((), ())
 
 
 # ---------------------------------------------------------------- posets
