@@ -182,6 +182,11 @@ def intersect_implementations(d1: PermutationDiagram,
     disagree with w2, i.e. on the edge intersection. Not every witness
     pair admits a shared middle; when no rebasing works the construction
     fails rather than implement the wrong graph.
+
+    Each diagram offers two witness pairs, (pi1, pi2) and (pi2, pi1). The
+    reversed pairs need not be tried: reversing the middle vote reverses
+    the rebased third vote (or leaves it impossible), and reversing all
+    three votes keeps the multi-crossing graph.
     """
     if set(d1.pi1) != set(d2.pi1):
         raise GraphError("diagrams must share the vertex set")
@@ -192,43 +197,38 @@ def intersect_implementations(d1: PermutationDiagram,
     # profile (x, mid, y): (x, mid) is a witness pair of d1 and g2 is rebased
     # onto mid, or (mid, y) is one of d2 and g1 is rebased onto mid
     for d, other, opens in ((d1, g2, True), (d2, g1, False)):
-        p, q = d.pi1, d.pi2
-        for pair in ((p, q), (q, p), (p[::-1], q[::-1]), (q[::-1], p[::-1])):
+        for pair in ((d.pi1, d.pi2), (d.pi2, d.pi1)):
             third = _rebase_witness(other, pair[1] if opens else pair[0])
             if third is None:
                 continue
             votes = [*pair, third] if opens else [third, *pair]
-            try:
-                return _finish(vertices, votes, target)
-            except ConstructionError:
-                continue
+            return _finish(vertices, votes, target)
     raise ConstructionError(
         "no shared-middle witness found; the edge intersection may not be "
         "3-implementable from these diagrams"
     )
 
 
-def _fullsc_votes(m: int):
-    """Odd-even swap schedule: m+1 votes plus pair -> crossing index.
+def _swapped(vote: list[int], positions) -> list[int]:
+    """Copy of `vote` with the pair at (p, p+1) swapped for each p in `positions`."""
+    out = vote.copy()
+    for p in positions:
+        out[p], out[p + 1] = out[p + 1], out[p]
+    return out
 
-    Even votes swap positions (2i-1, 2i), odd votes positions (2i, 2i+1);
-    each candidate pair is swapped exactly once, always adjacently.
+
+def _odd_even_schedule(m: int):
+    """Odd-even transposition sort of 0..m-1 into its reverse, step by step.
+
+    Step t swaps the positions (p, p+1) for p = t % 2, t % 2 + 2, ...;
+    yields the vote after each of the m steps with the positions it
+    swapped. Every pair is swapped exactly once, always adjacently.
     """
-    votes = [list(range(1, m + 1))]
-    crossing: dict[tuple[int, int], int] = {}
-    for t in range(1, m + 1):  # building vote t+1 from vote t
-        prev = votes[-1]
-        new = prev.copy()
-        if (t + 1) % 2 == 0:
-            positions = range(0, m - 1, 2)
-        else:
-            positions = range(1, m - 1, 2)
-        for p in positions:
-            new[p], new[p + 1] = new[p + 1], new[p]
-            a, b = prev[p], prev[p + 1]
-            crossing[(min(a, b), max(a, b))] = t
-        votes.append(new)
-    return votes, crossing
+    vote = list(range(m))
+    for t in range(m):
+        swaps = range(t % 2, m - 1, 2)
+        vote = _swapped(vote, swaps)
+        yield vote, swaps
 
 
 def fully_single_crossing(m: int) -> Election:
@@ -236,41 +236,30 @@ def fully_single_crossing(m: int) -> Election:
     once, always as an adjacent swap."""
     if m < 2:
         raise ConstructionInputError("need at least 2 candidates")
-    votes, _ = _fullsc_votes(m)
+    votes = [range(m)] + [vote for vote, _ in _odd_even_schedule(m)]
     return Election(
         tuple(_int_names(m)),
-        tuple(tuple(str(c) for c in vote) for vote in votes),
+        tuple(tuple(str(c + 1) for c in vote) for vote in votes),
     )
 
 
 def implement_general(g: UndirectedGraph) -> ImplementationResult:
     """Implement an arbitrary graph with at most 2|V|+1 voters.
 
-    Doubles each vote of the fully single-crossing election, then for
-    every edge re-applies its unique adjacent swap in the second copy of
-    the vote just after the crossing, making the pair cross twice.
+    Walks the fully single-crossing schedule on vertex indices and emits
+    each vote twice: as scheduled, then with the pairs that are edges
+    swapped back. An edge pair thus crosses three times and multi-crosses,
+    any other pair crosses once; one voter suffices for a single vertex.
     """
     m = len(g.vertices)
     if m == 1:
-        return _finish(g.vertices, [tuple(g.vertices)], g)
-    order = tuple(g.vertices)
-    name_of = {i + 1: order[i] for i in range(m)}
-    num_of = {v: i + 1 for i, v in enumerate(order)}
-    base, crossing = _fullsc_votes(m)
-    vhat = [base[0].copy()]
-    for vote in base[1:]:
-        vhat.append(vote.copy())
-        vhat.append(vote.copy())
-    for u, v in g.edges:
-        a, b = sorted((num_of[u], num_of[v]))
-        i = crossing[(a, b)]
-        vote = vhat[2 * i]  # 0-based: the (2i+1)-st voter
-        pa, pb = vote.index(a), vote.index(b)
-        if abs(pa - pb) != 1:
-            raise ConstructionError("swap positions are not adjacent")
-        vote[pa], vote[pb] = vote[pb], vote[pa]
-    votes = [[name_of[c] for c in vote] for vote in vhat]
-    return _finish(order, votes, g)
+        return _finish(g.vertices, [g.vertices], g)
+    votes = [range(m)]
+    for vote, swaps in _odd_even_schedule(m):
+        edges = [p for p in swaps if g.adj[vote[p]] >> vote[p + 1] & 1]
+        votes += [vote, _swapped(vote, edges)]
+    names = [[g.vertices[c] for c in vote] for vote in votes]
+    return _finish(g.vertices, names, g)
 
 
 @dataclass(frozen=True)

@@ -48,6 +48,12 @@ def test_fullsc_matches_fixture(capsys, fixture_path):
     assert out == fixture_path("table2.elec").read_text(encoding="utf-8")
 
 
+def test_implement_general_matches_fixture(capsys, fixture_path, fixture_text):
+    code, out, _ = run(capsys, "implement", str(fixture_path("figure1.graph")))
+    assert code == 0
+    assert out == fixture_text("figure1.implement")
+
+
 def test_implement_round_trip(capsys, tmp_path):
     code, out, _ = run(capsys, "gen", "random-graph",
                        "--v", "12", "--p", "0.4", "--seed", "9")

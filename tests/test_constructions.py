@@ -23,6 +23,7 @@ from multicrossing import (
     multicrossing_graph,
     ramsey_extract,
 )
+from multicrossing import constructions
 from multicrossing.graphs import PermutationDiagram
 from multicrossing.constructions import cycle_graph, path_graph
 from multicrossing.generate import (
@@ -144,10 +145,22 @@ def test_general_round_trip(g):
     assert result.voters_used <= 2 * len(g.vertices) + 1
 
 
+def test_general_election_pinned():
+    g = random_graph(6, 0.4, seed=11)
+    result = implement_general(g)
+    assert emit_election(result.election) == (
+        "6 13\n1 2 3 4 5 6\n1>2>3>4>5>6\n2>1>4>3>6>5\n2>1>4>3>6>5\n"
+        "2>4>1>6>3>5\n2>4>1>3>6>5\n4>2>6>1>5>3\n2>4>6>1>3>5\n"
+        "4>6>2>5>1>3\n4>6>2>5>1>3\n6>4>5>2>3>1\n6>4>5>2>3>1\n"
+        "6>5>4>3>2>1\n6>4>5>3>2>1\n"
+    )
+
+
 def test_general_handles_single_vertex():
     g = random_graph(1, 0.5, seed=0)
     result = implement_general(g)
     assert multicrossing_graph(result.election) == g
+    assert emit_election(result.election) == "1 1\n1\n1\n"  # one voter
 
 
 # ----------------------------------------------------- fully single-crossing
@@ -228,6 +241,34 @@ def test_intersection_when_it_succeeds_is_correct(v, s1, s2):
     except ConstructionError:
         return  # the combination step is not always applicable
     assert multicrossing_graph(result.election).edges == expected_edges
+
+
+@given(st.integers(min_value=2, max_value=10), seeds, seeds)
+@settings(max_examples=60, deadline=None)
+def test_intersection_of_reversed_diagrams_is_reversed(v, s1, s2):
+    # why (pi1, pi2) and (pi2, pi1) are the only witness pairs worth trying:
+    # reversing every permutation reverses every vote of the result
+    d1 = random_permutation_diagram(v, seed=s1)
+    d2 = random_permutation_diagram(v, seed=s2)
+    r1, r2 = (PermutationDiagram(d.pi1[::-1], d.pi2[::-1]) for d in (d1, d2))
+    try:
+        votes = intersect_implementations(d1, d2).election.votes
+    except ConstructionError:
+        with pytest.raises(ConstructionError):
+            intersect_implementations(r1, r2)
+        return
+    reversed_votes = intersect_implementations(r1, r2).election.votes
+    assert reversed_votes == tuple(vote[::-1] for vote in votes)
+
+
+def test_intersection_self_verification_is_not_swallowed(monkeypatch):
+    d1 = random_permutation_diagram(6, seed=1)
+    d2 = random_permutation_diagram(6, seed=1001)
+    assert multicrossing_graph(intersect_implementations(d1, d2).election).edges
+    # a third vote equal to the middle one: nothing multi-crosses
+    monkeypatch.setattr(constructions, "_rebase_witness", lambda g, first: first)
+    with pytest.raises(ConstructionError, match="self-verification"):
+        intersect_implementations(d1, d2)
 
 
 # ------------------------------------------------------------------ ramsey
