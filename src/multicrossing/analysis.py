@@ -21,7 +21,6 @@ from .graphs import (
     _mis_search,
     exact_coloring,
     is_bipartite,
-    max_antichain,
     maximum_independent_set,
     mirsky_coloring,
 )
@@ -132,7 +131,8 @@ def candidate_deletion(e: Election, k: int, budget: int = DEFAULT_BUDGET) -> Ana
         def holds(pool: int, need: int) -> bool:
             return _antichain(o, pool).bit_count() >= need
 
-        kept = _lexmin_max_independent_set(gamma, len(max_antichain(o)), holds)
+        size = _antichain(o, (1 << e.m) - 1).bit_count()
+        kept = _lexmin_max_independent_set(gamma, size, holds)
         method, complete, nodes = "three-voter-poly", True, 0
     else:
         best, complete, nodes = maximum_independent_set(gamma, budget)

@@ -28,6 +28,9 @@ class Election:
     votes: tuple[tuple[str, ...], ...]
 
     def __post_init__(self):
+        # stored as tuples, so an election built from lists hashes and equals its parsed copy
+        object.__setattr__(self, "candidates", tuple(self.candidates))
+        object.__setattr__(self, "votes", tuple(map(tuple, self.votes)))
         if not self.candidates:
             raise ElectionError("election needs at least one candidate")
         if not self.votes:

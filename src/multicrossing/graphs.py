@@ -270,6 +270,8 @@ class PermutationDiagram:
     pi2: tuple[str, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "pi1", tuple(self.pi1))  # lists would break == and hash
+        object.__setattr__(self, "pi2", tuple(self.pi2))
         n = len(self.pi1)
         if set(self.pi1) != set(self.pi2) or len(set(self.pi1)) != n or len(self.pi2) != n:
             raise GraphError("pi1 and pi2 must be permutations of the same vertex set")
@@ -381,37 +383,50 @@ def recognize_permutation(g: UndirectedGraph) -> PermutationDiagram | None:
     return diagram
 
 
-def _kuhn_matching(succ, within: int) -> dict[int, int]:
+def _kuhn_matching(succ, within: int) -> tuple[dict[int, int], int]:
     """Maximum bipartite matching by augmenting paths on the vertices of
-    the mask `within`.
+    the mask `within`, with the right side of Koenig's vertex cover.
 
-    Left and right copies share the vertex indices; returns match_r:
-    right vertex -> matched left vertex. Each search from a left vertex
-    is a depth-first search on an explicit stack that tries successors in
-    index order, so path length is not bounded by the recursion limit.
+    Left and right copies share the vertex indices; returns match_r
+    (right vertex -> matched left vertex) and the mask of the right
+    vertices that alternating paths from unmatched left vertices reach.
+    Each search is a depth-first search on an explicit stack that tries
+    successors in index order, so path length is not bounded by the
+    recursion limit. `visited` is cleared only when an augmentation
+    changes the matching: until then no augmenting path passes a right
+    vertex that a failed search reached. Rounds over the unmatched left
+    vertices repeat until one augments nothing (at most two), and then
+    `visited` is exactly that alternating reach.
     """
     match_r: dict[int, int] = {}
-    for root in _bits(within):
-        visited = ~within  # vertices outside `within` are never tried
-        stack = [root]
-        path: list[int] = []  # path[d]: the right vertex tried from stack[d]
-        while stack:
-            free = succ[stack[-1]] & ~visited
-            if not free:
-                stack.pop()
-                if path:
-                    path.pop()
-                continue
-            v = (free & -free).bit_length() - 1
-            visited |= 1 << v
-            path.append(v)
-            if v in match_r:
-                stack.append(match_r[v])
-                continue
-            for u, w in zip(stack, path):
-                match_r[w] = u
-            break
-    return match_r
+    unmatched = within  # left vertices not yet matched
+    visited = ~within  # vertices outside `within` are never tried
+    grew = True
+    while grew:
+        grew = False
+        for root in _bits(unmatched):
+            stack = [root]
+            path: list[int] = []  # path[d]: the right vertex tried from stack[d]
+            while stack:
+                free = succ[stack[-1]] & ~visited
+                if not free:
+                    stack.pop()
+                    if path:
+                        path.pop()
+                    continue
+                v = (free & -free).bit_length() - 1
+                visited |= 1 << v
+                path.append(v)
+                if v in match_r:
+                    stack.append(match_r[v])
+                    continue
+                for u, w in zip(stack, path):
+                    match_r[w] = u
+                unmatched ^= 1 << root
+                visited = ~within
+                grew = True
+                break
+    return match_r, visited & within
 
 
 def _require_verified(o: Orientation):
@@ -428,26 +443,9 @@ def _antichain(o: Orientation, within: int) -> int:
     The size is checked against the chain-cover bound and independence
     against the base graph before returning.
     """
-    succ = o.succ
-    match_r = _kuhn_matching(succ, within)
-    match_l = {u: v for v, u in match_r.items()}
-    z_left = within & ~sum(1 << u for u in match_l)  # unmatched left vertices
-    z_right = 0
-    frontier = z_left
-    while frontier:
-        nxt = 0
-        for u in _bits(frontier):
-            reach = succ[u] & within & ~z_right
-            if u in match_l:
-                reach &= ~(1 << match_l[u])
-            z_right |= reach
-            for v in _bits(reach):
-                w = match_r.get(v)
-                if w is not None and not z_left >> w & 1:
-                    z_left |= 1 << w
-                    nxt |= 1 << w
-        frontier = nxt
-
+    match_r, z_right = _kuhn_matching(o.succ, within)
+    z_left = within & ~sum(1 << u for u in match_r.values())  # unmatched left vertices
+    z_left |= sum(1 << match_r[v] for v in _bits(z_right))  # and those reached
     antichain = z_left & ~z_right
     if antichain.bit_count() != within.bit_count() - len(match_r):
         raise GraphError("Koenig construction produced an inconsistent antichain")
@@ -469,7 +467,7 @@ def minimum_chain_cover(o: Orientation) -> list[list[str]]:
     """A partition of the poset into the minimum number of chains."""
     _require_verified(o)
     succ, n = o.succ, len(o.succ)
-    match_r = _kuhn_matching(succ, (1 << n) - 1)
+    match_r, _ = _kuhn_matching(succ, (1 << n) - 1)
     nxt = {u: v for v, u in match_r.items()}
     chains = []
     for v in range(n):

@@ -100,6 +100,34 @@ def test_analyze_deletion_json(capsys, fixture_path):
     assert payload["kept"] == ["1", "3", "5"]
 
 
+def test_analyze_three_voter_json_pinned(capsys, fixture_path):
+    # the <=3-voter poset path end to end: lexmin kept set and Mirsky classes
+    election = str(fixture_path("perm12.elec"))
+    code, out, _ = run(capsys, "analyze", "deletion", election, "--k", "8")
+    assert code == 0
+    assert json.loads(out) == {
+        "schema": "1", "kind": "deletion", "feasible": True, "optimal": True,
+        "budget_exceeded": False, "method": "three-voter-poly", "nodes_explored": 0,
+        "kept": ["10", "11", "12", "4"],
+    }
+    code, out, _ = run(capsys, "analyze", "partition", election, "--k", "5")
+    assert code == 0
+    assert json.loads(out) == {
+        "schema": "1", "kind": "partition", "feasible": True, "optimal": True,
+        "budget_exceeded": False, "method": "three-voter-poly", "nodes_explored": 0,
+        "classes": [["1", "12"], ["6", "7", "9"], ["10", "11", "4"], ["2", "3", "5"], ["8"]],
+    }
+
+
+def test_analyze_budget_exceeded_exit_3(capsys, fixture_path):
+    election = str(fixture_path("random12.elec"))
+    for problem, k in (("deletion", "7"), ("partition", "4")):
+        code, out, _ = run(capsys, "analyze", problem, election, "--k", k, "--budget", "1")
+        assert code == 3, problem
+        payload = json.loads(out)
+        assert payload["budget_exceeded"] is True and payload["optimal"] is False
+
+
 def test_analyze_infeasible_exit_code(capsys, fixture_path):
     code, out, _ = run(capsys, "analyze", "partition",
                        str(fixture_path("table1_right.elec")), "--k", "1")
@@ -171,6 +199,11 @@ def test_input_errors_exit_2(capsys, tmp_path):
     bad.write_text("2 1\na b\na>a\n", encoding="utf-8")
     code, _, err = run(capsys, "check", str(bad))
     assert code == 2
+    loop = tmp_path / "loop.graph"
+    loop.write_text("2\na b\na a\n", encoding="utf-8")
+    code, out, err = run(capsys, "recognize", str(loop))
+    assert code == 2
+    assert out == "" and "self-loop" in err
 
 
 def test_construction_argument_errors_exit_2(capsys, tmp_path):
@@ -183,6 +216,10 @@ def test_construction_argument_errors_exit_2(capsys, tmp_path):
     code, _, err = run(capsys, "implement", "--family", "tree", str(square))
     assert code == 2
     assert "not a tree" in err
+    for argv, missing in ((["--family", "path"], "--size"), (["--family", "tree"], "graph file")):
+        code, _, err = run(capsys, "implement", *argv)
+        assert code == 2, argv
+        assert err.startswith("error:") and missing in err
 
 
 def test_analysis_range_errors_exit_2(capsys, fixture_path):

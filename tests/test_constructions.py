@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from multicrossing import (
     ConstructionError,
     ConstructionInputError,
+    GraphError,
+    UndirectedGraph,
     emit_election,
     fully_single_crossing,
     implement_clique,
@@ -112,6 +114,10 @@ def test_tree_rejects_non_trees():
     disconnected = random_graph(4, 0.0, seed=0)
     with pytest.raises(ConstructionError):
         implement_tree(disconnected)
+    # |V| - 1 edges, but a triangle and an isolated vertex
+    triangle = UndirectedGraph(["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("a", "c")])
+    with pytest.raises(ConstructionInputError, match="not connected"):
+        implement_tree(triangle)
 
 
 def test_argument_errors_are_input_errors():
@@ -206,6 +212,12 @@ def test_intersection_of_identical_diagrams():
     d = random_permutation_diagram(8, seed=3)
     result = intersect_implementations(d, d)
     assert multicrossing_graph(result.election) == d.graph()
+
+
+def test_intersection_needs_one_vertex_set():
+    with pytest.raises(GraphError, match="share the vertex set"):
+        intersect_implementations(PermutationDiagram(("a", "b"), ("b", "a")),
+                                  PermutationDiagram(("a", "c"), ("c", "a")))
 
 
 def test_intersection_with_clique():

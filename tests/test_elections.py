@@ -119,6 +119,13 @@ def test_prefers_unknown_candidate_rejected(fixture_text):
             e.prefers(1, a, b)
 
 
+def test_election_from_lists_is_a_value():
+    e = Election(["a", "b"], [("a", "b"), ["b", "a"]])
+    assert e == Election(("a", "b"), (("a", "b"), ("b", "a")))
+    assert parse_election(emit_election(e)) == e
+    assert hash(e) == hash(parse_election(emit_election(e)))
+
+
 def test_election_validation():
     with pytest.raises(Exception):
         Election(("a", "b"), (("a",),))

@@ -28,13 +28,15 @@ from multicrossing import (
     transitive_orientation,
 )
 from multicrossing import bruteforce as bf
+from multicrossing.analysis import _vote1_orientation
 from multicrossing.constructions import cycle_graph, implement_clique, path_graph
 from multicrossing.generate import (
     random_comparability_graph,
+    random_election,
     random_graph,
     random_permutation_diagram,
 )
-from multicrossing.graphs import _mis_search
+from multicrossing.graphs import _antichain, _bits, _kuhn_matching, _mis_search
 
 
 def graphs(max_v=8):
@@ -112,6 +114,11 @@ def test_unreadable_vertex_names_rejected():
     for bad in (["#a", "b"], ["a b", "c"], ["", "c"], [1, 2]):
         with pytest.raises(GraphError):
             UndirectedGraph(bad)
+
+
+def test_edge_given_in_both_directions_rejected():
+    with pytest.raises(GraphError, match="duplicate edge"):
+        UndirectedGraph(["a", "b"], [("a", "b"), ("b", "a")])
 
 
 # ---------------------------------------------------------------- parsing
@@ -237,6 +244,12 @@ def test_diagram_edges_are_the_inverted_pairs(d):
     assert d.induced_edges() == inverted
 
 
+def test_diagram_from_lists_equals_diagram_from_tuples():
+    d = PermutationDiagram(["a", "b"], ["b", "a"])
+    assert d == PermutationDiagram(("a", "b"), ("b", "a"))
+    assert hash(d) == hash(PermutationDiagram(("a", "b"), ("b", "a")))
+
+
 def test_diagram_rejects_bad_vertex_sets():
     for bad in (("a b", "c"), ("#x", "y")):
         with pytest.raises(GraphError, match="invalid name"):
@@ -269,6 +282,69 @@ def test_chain_cover_matches_antichain(g):
         for a, b in zip(chain, chain[1:]):
             assert (a, b) in o.arcs
     assert len(chains) == len(max_antichain(o))
+
+
+@pytest.mark.parametrize("v, p, seed, antichain, chains", [
+    (9, 0.3, 1, ("5", "7", "8"), [["1", "4", "6", "7"], ["2", "8"], ["3", "9", "5"]]),
+    (10, 0.4, 2, ("3", "6", "8"), [["1", "9", "10", "6"], ["2", "3", "4", "5", "7"], ["8"]]),
+    (12, 0.5, 3, ("3", "5", "7"),
+     [["2", "1", "12", "3", "10"], ["8", "5", "6", "9"], ["11", "7", "4"]]),
+    (14, 0.6, 4, ("1", "9", "14"),
+     [["1", "6", "10", "12", "3", "7", "8"], ["11", "9", "13", "2", "4", "5"], ["14"]]),
+])
+def test_poset_outputs_pinned(v, p, seed, antichain, chains):
+    # the order in which the matching visits vertices picks which maximum
+    # antichain and which minimum chain cover come back
+    o = transitive_orientation(random_comparability_graph(v, p, seed=seed))
+    assert max_antichain(o) == antichain
+    assert minimum_chain_cover(o) == chains
+
+
+def koenig_reach_reference(succ, within, match_r):
+    """Right vertices that alternating paths from the unmatched left vertices
+    reach, by a breadth-first search of its own over the matching."""
+    match_l = {u: v for v, u in match_r.items()}
+    z_left = within & ~sum(1 << u for u in match_l)
+    z_right = 0
+    frontier = z_left
+    while frontier:
+        nxt = 0
+        for u in _bits(frontier):
+            reach = succ[u] & within & ~z_right
+            if u in match_l:
+                reach &= ~(1 << match_l[u])
+            z_right |= reach
+            for v in _bits(reach):
+                w = match_r.get(v)
+                if w is not None and not z_left >> w & 1:
+                    z_left |= 1 << w
+                    nxt |= 1 << w
+        frontier = nxt
+    return z_right
+
+
+@st.composite
+def transitive_orientations(draw, max_v=30):
+    """Verified orientations of comparability graphs, or the vote-1
+    orientations of 3-voter elections."""
+    if draw(st.booleans()):
+        return transitive_orientation(draw(comparability_graphs(max_v)))
+    e = random_election(draw(st.integers(min_value=1, max_value=max_v)), 3,
+                        draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    return _vote1_orientation(e, multicrossing_graph(e))
+
+
+@given(transitive_orientations(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_matching_search_gives_koenig_reach(o, data):
+    full = (1 << len(o.succ)) - 1
+    within = data.draw(st.sampled_from([0, full]) | st.integers(min_value=0, max_value=full))
+    match_r, reach = _kuhn_matching(o.succ, within)
+    assert reach == koenig_reach_reference(o.succ, within, match_r)
+    assert len(match_r) + _antichain(o, within).bit_count() == within.bit_count()
+    assert len(set(match_r.values())) == len(match_r)  # each left vertex matched once
+    for v, u in match_r.items():
+        assert within >> u & 1 and within >> v & 1 and o.succ[u] >> v & 1
 
 
 @given(comparability_graphs())
