@@ -17,6 +17,7 @@ from .graphs import (
     Orientation,
     UndirectedGraph,
     _antichain,
+    _kuhn_matching,
     _later,
     _mis_search,
     exact_coloring,
@@ -127,11 +128,13 @@ def candidate_deletion(e: Election, k: int, budget: int = DEFAULT_BUDGET) -> Ana
     gamma = multicrossing_graph(e)
     if e.n <= 3:
         o = _vote1_orientation(e, gamma)
+        full = (1 << e.m) - 1
+        start, _ = _kuhn_matching(o.succ, full)  # each probe resumes from its pairs in the pool
 
         def holds(pool: int, need: int) -> bool:
-            return _antichain(o, pool).bit_count() >= need
+            return _antichain(o, pool, start).bit_count() >= need
 
-        size = _antichain(o, (1 << e.m) - 1).bit_count()
+        size = _antichain(o, full, start).bit_count()
         kept = _lexmin_max_independent_set(gamma, size, holds)
         method, complete, nodes = "three-voter-poly", True, 0
     else:

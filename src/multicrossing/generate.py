@@ -5,13 +5,18 @@ import random
 from itertools import combinations
 
 from .elections import Election
-from .graphs import PermutationDiagram, UndirectedGraph, vertex_pair
+from .graphs import GraphError, PermutationDiagram, UndirectedGraph, vertex_pair
 
 
 def _rng(seed, rng):
     if rng is not None:
         return rng
     return random.Random(seed)
+
+
+def _check_probability(p):
+    if not 0 <= p <= 1:  # NaN fails both comparisons too
+        raise GraphError(f"probability p must lie in [0, 1], got {p!r}")
 
 
 def random_election(m: int, n: int, seed=None, rng=None) -> Election:
@@ -28,6 +33,7 @@ def random_election(m: int, n: int, seed=None, rng=None) -> Election:
 
 def random_graph(v: int, p: float, seed=None, rng=None) -> UndirectedGraph:
     """Edge-probability random graph, vertices named 1..v."""
+    _check_probability(p)
     r = _rng(seed, rng)
     names = [str(i) for i in range(1, v + 1)]
     edges = [(a, b) for a, b in combinations(names, 2) if r.random() < p]
@@ -54,6 +60,7 @@ def random_permutation_diagram(v: int, seed=None, rng=None) -> PermutationDiagra
 def random_comparability_graph(v: int, p: float, seed=None, rng=None) -> UndirectedGraph:
     """Comparability graph of a random poset (transitive closure of a
     random DAG over a random linear order)."""
+    _check_probability(p)
     r = _rng(seed, rng)
     names = [str(i) for i in range(1, v + 1)]
     order = list(names)

@@ -383,23 +383,26 @@ def recognize_permutation(g: UndirectedGraph) -> PermutationDiagram | None:
     return diagram
 
 
-def _kuhn_matching(succ, within: int) -> tuple[dict[int, int], int]:
+def _kuhn_matching(succ, within: int,
+                   start: dict[int, int] | None = None) -> tuple[dict[int, int], int]:
     """Maximum bipartite matching by augmenting paths on the vertices of
     the mask `within`, with the right side of Koenig's vertex cover.
 
     Left and right copies share the vertex indices; returns match_r
     (right vertex -> matched left vertex) and the mask of the right
     vertices that alternating paths from unmatched left vertices reach.
+    The search starts from the pairs of `start` (a match_r over the same
+    `succ`) whose two ends lie in `within`, or from an empty matching.
     Each search is a depth-first search on an explicit stack that tries
     successors in index order, so path length is not bounded by the
     recursion limit. `visited` is cleared only when an augmentation
     changes the matching: until then no augmenting path passes a right
     vertex that a failed search reached. Rounds over the unmatched left
     vertices repeat until one augments nothing (at most two), and then
-    `visited` is exactly that alternating reach.
+    `visited` is exactly that alternating reach, whatever the start.
     """
-    match_r: dict[int, int] = {}
-    unmatched = within  # left vertices not yet matched
+    match_r = {v: u for v, u in (start or {}).items() if within >> v & within >> u & 1}
+    unmatched = within & ~sum(1 << u for u in match_r.values())  # left vertices not yet matched
     visited = ~within  # vertices outside `within` are never tried
     grew = True
     while grew:
@@ -434,16 +437,17 @@ def _require_verified(o: Orientation):
         raise GraphError("orientation has not been verified transitive")
 
 
-def _antichain(o: Orientation, within: int) -> int:
+def _antichain(o: Orientation, within: int, start: dict[int, int] | None = None) -> int:
     """Mask of a maximum antichain of the poset restricted to the mask
-    `within`, which is a maximum independent set of the base graph there.
+    `within`, which is a maximum independent set of the base graph there;
+    the matching search starts from `start` restricted to `within`.
 
     Dilworth route: maximum matching in the chain-cover bipartite graph,
     minimum vertex cover via Koenig, antichain as the uncovered vertices.
     The size is checked against the chain-cover bound and independence
     against the base graph before returning.
     """
-    match_r, z_right = _kuhn_matching(o.succ, within)
+    match_r, z_right = _kuhn_matching(o.succ, within, start)
     z_left = within & ~sum(1 << u for u in match_r.values())  # unmatched left vertices
     z_left |= sum(1 << match_r[v] for v in _bits(z_right))  # and those reached
     antichain = z_left & ~z_right

@@ -20,7 +20,8 @@ from multicrossing import (
     maximum_independent_set,
 )
 from multicrossing import bruteforce as bf
-from multicrossing.generate import random_election, random_graph
+from multicrossing.constructions import implement_clique, implement_even_cycle, implement_tree
+from multicrossing.generate import random_election, random_graph, random_tree
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -84,6 +85,45 @@ def test_deletion_poly_vs_general_vs_oracle(e, k):
     oracle = lexmin_oracle(gamma)  # m <= 10
     assert poly.kept == general.kept == oracle  # both lexicographically smallest
     assert poly.feasible == general.feasible == (len(oracle) >= e.m - k)
+
+
+# Lexmin kept sets at sizes where the <=3-voter probes search pools of up to
+# 200 candidates. They follow from the probes' yes/no answers alone, so no
+# change to where a probe's matching search starts may move them.
+DELETION_PINS = {
+    "random60": (lambda: random_election(60, 3, seed=1),
+        "1 15 18 2 21 22 23 28 29 31 32 34 36 39 4 41 42 43 47 48 49 50 53 55 7"),
+    "random120": (lambda: random_election(120, 3, seed=1),
+        "100 101 104 107 110 113 116 118 120 17 19 20 21 24 25 26 29 30 31 32 37 4 41 44 5 "
+        "50 51 52 6 63 65 68 70 72 74 77 80 83 86 89 90 91 97"),
+    "random200": (lambda: random_election(200, 3, seed=1),
+        "101 103 104 105 106 107 108 109 11 111 112 113 115 116 118 119 12 128 131 137 138 "
+        "14 140 141 160 161 164 166 168 172 173 178 180 182 184 190 191 192 22 24 30 35 36 "
+        "37 49 57 61 68 71 74 76 8 84 87 88 94"),
+    "cycle200": (lambda: implement_even_cycle(200).election,
+        "1 101 103 105 107 109 11 111 113 115 117 119 121 123 125 127 129 13 131 133 135 "
+        "137 139 141 143 145 147 149 15 151 153 155 157 159 161 163 165 167 169 17 171 173 "
+        "175 177 179 181 183 185 187 189 19 191 193 195 197 199 21 23 25 27 29 3 31 33 35 "
+        "37 39 41 43 45 47 49 5 51 53 55 57 59 61 63 65 67 69 7 71 73 75 77 79 81 83 85 87 "
+        "89 9 91 93 95 97 99"),
+    "tree200": (lambda: implement_tree(random_tree(200, seed=1)).election,
+        "10 100 101 102 103 104 105 106 108 109 11 110 111 112 113 115 116 117 119 12 120 "
+        "121 123 124 125 129 13 130 132 134 135 139 14 140 141 142 143 145 146 147 148 149 "
+        "151 152 153 155 157 158 159 161 162 163 164 165 166 167 168 169 17 170 171 172 173 "
+        "174 175 177 179 181 182 183 184 185 186 188 189 191 192 193 194 195 196 197 198 20 "
+        "200 25 26 27 3 32 36 37 38 42 51 55 56 57 58 60 61 62 68 73 77 78 79 80 81 84 86 "
+        "87 9 90 91 93 97 98"),
+    "clique150": (lambda: implement_clique([str(i) for i in range(1, 151)]).election,
+        "1"),
+}
+
+
+@pytest.mark.parametrize("name", DELETION_PINS)
+def test_three_voter_deletion_pinned(name):
+    build, kept = DELETION_PINS[name]
+    result = candidate_deletion(build(), 0)
+    assert result.method == "three-voter-poly"
+    assert result.kept == tuple(kept.split())
 
 
 @given(three_voter_elections())

@@ -119,6 +119,18 @@ def test_analyze_three_voter_json_pinned(capsys, fixture_path):
     }
 
 
+def test_analyze_three_voter_deletion_at_size(capsys, tmp_path, fixture_text):
+    # 200 candidates: the lexmin probes resume their matchings on large pools
+    code, out, _ = run(capsys, "gen", "random-election",
+                       "--m", "200", "--n", "3", "--seed", "1")
+    assert code == 0
+    election = tmp_path / "random200x3.elec"
+    election.write_text(out, encoding="utf-8")
+    code, out, _ = run(capsys, "analyze", "deletion", str(election), "--k", "150")
+    assert code == 0
+    assert out == fixture_text("random200x3.deletion")
+
+
 def test_analyze_budget_exceeded_exit_3(capsys, fixture_path):
     election = str(fixture_path("random12.elec"))
     for problem, k in (("deletion", "7"), ("partition", "4")):
@@ -189,6 +201,13 @@ def test_generators_deterministic(capsys):
     _, third, _ = run(capsys, "gen", "random-election",
                       "--m", "6", "--n", "4", "--seed", "43")
     assert first != third
+
+
+def test_generator_probability_outside_unit_interval_exits_2(capsys):
+    for p in ("1.5", "-1", "nan"):
+        code, out, err = run(capsys, "gen", "random-graph", "--v", "5", "--p", p, "--seed", "1")
+        assert code == 2, p
+        assert out == "" and "probability" in err
 
 
 def test_input_errors_exit_2(capsys, tmp_path):

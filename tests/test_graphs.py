@@ -116,6 +116,15 @@ def test_unreadable_vertex_names_rejected():
             UndirectedGraph(bad)
 
 
+def test_generators_reject_probabilities_outside_unit_interval():
+    for p in (1.5, -1, float("nan")):
+        for generate in (random_graph, random_comparability_graph):
+            with pytest.raises(GraphError, match="probability"):
+                generate(5, p, seed=1)
+    assert len(random_graph(5, 1, seed=1).edges) == 10
+    assert not random_comparability_graph(5, 0, seed=1).edges
+
+
 def test_edge_given_in_both_directions_rejected():
     with pytest.raises(GraphError, match="duplicate edge"):
         UndirectedGraph(["a", "b"], [("a", "b"), ("b", "a")])
@@ -339,12 +348,18 @@ def transitive_orientations(draw, max_v=30):
 def test_matching_search_gives_koenig_reach(o, data):
     full = (1 << len(o.succ)) - 1
     within = data.draw(st.sampled_from([0, full]) | st.integers(min_value=0, max_value=full))
-    match_r, reach = _kuhn_matching(o.succ, within)
-    assert reach == koenig_reach_reference(o.succ, within, match_r)
-    assert len(match_r) + _antichain(o, within).bit_count() == within.bit_count()
-    assert len(set(match_r.values())) == len(match_r)  # each left vertex matched once
-    for v, u in match_r.items():
-        assert within >> u & 1 and within >> v & 1 and o.succ[u] >> v & 1
+    start, _ = _kuhn_matching(o.succ, full)
+    cold = _kuhn_matching(o.succ, within)
+    # a cold search, and one resumed from the full matching's pairs inside `within`
+    for match_r, reach in (cold, _kuhn_matching(o.succ, within, start)):
+        assert len(match_r) == len(cold[0])
+        assert reach == koenig_reach_reference(o.succ, within, match_r)
+        assert len(set(match_r.values())) == len(match_r)  # each left vertex matched once
+        for v, u in match_r.items():
+            assert within >> u & 1 and within >> v & 1 and o.succ[u] >> v & 1
+    size = _antichain(o, within).bit_count()
+    assert len(cold[0]) + size == within.bit_count()
+    assert _antichain(o, within, start).bit_count() == size
 
 
 @given(comparability_graphs())
