@@ -51,7 +51,6 @@ from .graphs import (
     emit_dot,
     emit_graph,
     exact_coloring,
-    exact_independent_set,
     is_bipartite,
     max_antichain,
     maximum_independent_set,

@@ -97,7 +97,7 @@ def _cmd_gamma(args) -> int:
     if args.dot:
         sys.stdout.write(emit_dot(g))
     elif args.edges:
-        for u, v in g.sorted_edges():
+        for u, v in g._name_pairs():
             print(f"{u} {v}")
     else:
         sys.stdout.write(emit_graph(g))

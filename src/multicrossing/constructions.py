@@ -127,7 +127,7 @@ def implement_tree(t: UndirectedGraph) -> ImplementationResult:
     root first. The root is the lexicographically smallest vertex, and
     children are processed in lexicographic order.
     """
-    if len(t.edges) != len(t.vertices) - 1:
+    if sum(mask.bit_count() for mask in t.adj) != 2 * (len(t.vertices) - 1):
         raise ConstructionInputError("input is not a tree (wrong edge count)")
     root = min(t.vertices)
     children: dict[str, list[str]] = {v: [] for v in t.vertices}
@@ -309,7 +309,7 @@ def ramsey_extract(e: Election) -> RamseyExtract:
     if len(members) < 2:
         return RamseyExtract("independent", members)
     gamma = multicrossing_graph(restrict(e, members))
-    n_edges = len(gamma.edges)
+    n_edges = sum(mask.bit_count() for mask in gamma.adj) // 2
     n_pairs = len(members) * (len(members) - 1) // 2
     if n_edges == n_pairs:
         return RamseyExtract("clique", members)

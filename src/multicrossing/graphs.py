@@ -62,9 +62,8 @@ class UndirectedGraph:
     Immutable after construction. Vertex i of `vertices` has the integer
     bitmask `adj[i]` of its neighbours' indices, and `index` maps names
     to indices. Vertex order is preserved for deterministic output. The
-    name-sorted pair set `edges` is kept from the input edge list, and a
-    graph made from masks (gamma, complement, induced) derives it from
-    `adj` on first use.
+    masks are the only stored form: the name-sorted pair set `edges` is
+    derived from `adj` on first use.
     """
 
     def __init__(self, vertices, edges=()):
@@ -76,21 +75,17 @@ class UndirectedGraph:
         if len(self.index) != len(self.vertices):
             raise GraphError("duplicate vertex name")
         adj = [0] * len(self.vertices)
-        pairs: set[tuple[str, str]] = set()
         for u, v in edges:
             if u == v:
                 raise GraphError(f"self-loop at {u!r}")
             i, j = self.index.get(u), self.index.get(v)
             if i is None or j is None:
                 raise GraphError(f"edge {u!r}-{v!r} uses unknown vertex")
-            pair = vertex_pair(u, v)
-            if pair in pairs:
+            if adj[i] >> j & 1:
                 raise GraphError(f"duplicate edge {u!r}-{v!r}")
-            pairs.add(pair)
             adj[i] |= 1 << j
             adj[j] |= 1 << i
         self.adj: tuple[int, ...] = tuple(adj)
-        self.edges = frozenset(pairs)  # the set `edges` would derive from adj
 
     @classmethod
     def _from_masks(cls, vertices, adj) -> "UndirectedGraph":
@@ -111,6 +106,18 @@ class UndirectedGraph:
                 out.append((a, b) if a < b else (b, a))
         return out
 
+    def _name_pairs(self):
+        """The pairs of `edges` in name order, as `sorted(edges)` lists
+        them: each vertex in name order, with its neighbours of higher
+        name sorted by name."""
+        vs, index, adj = self.vertices, self.index, self.adj
+        order = sorted(vs)
+        later = _later(order, index)
+        for a in order:
+            i = index[a]
+            for b in sorted(vs[j] for j in _bits(adj[i] & later[i])):
+                yield a, b
+
     @cached_property
     def edges(self) -> frozenset[tuple[str, str]]:
         return frozenset(self._pairs())
@@ -126,7 +133,8 @@ class UndirectedGraph:
         return hash((frozenset(self.vertices), self.edges))
 
     def __repr__(self):
-        return f"UndirectedGraph({len(self.vertices)} vertices, {len(self.edges)} edges)"
+        size = sum(mask.bit_count() for mask in self.adj) // 2
+        return f"UndirectedGraph({len(self.vertices)} vertices, {size} edges)"
 
     def has_edge(self, a: str, b: str) -> bool:
         i, j = self.index.get(a), self.index.get(b)
@@ -135,28 +143,11 @@ class UndirectedGraph:
     def neighbors(self, v: str) -> set[str]:
         return {self.vertices[j] for j in _bits(self.adj[self.index[v]])}
 
-    def degree(self, v: str) -> int:
-        return self.adj[self.index[v]].bit_count()
-
     def complement(self) -> "UndirectedGraph":
         full = (1 << len(self.vertices)) - 1
         return UndirectedGraph._from_masks(
             self.vertices, [full ^ mask ^ (1 << i) for i, mask in enumerate(self.adj)]
         )
-
-    def induced(self, keep) -> "UndirectedGraph":
-        kset = set(keep)
-        unknown = kset - self.index.keys()
-        if unknown:
-            raise GraphError(f"unknown vertices in induced subgraph: {sorted(unknown)}")
-        ids = [i for i, v in enumerate(self.vertices) if v in kset]
-        new = {old: k for k, old in enumerate(ids)}
-        kept = sum(1 << i for i in ids)
-        adj = [sum(1 << new[j] for j in _bits(self.adj[i] & kept)) for i in ids]
-        return UndirectedGraph._from_masks([self.vertices[i] for i in ids], adj)
-
-    def sorted_edges(self) -> list[tuple[str, str]]:
-        return sorted(self.edges)
 
 
 def parse_graph(text: str) -> UndirectedGraph:
@@ -196,16 +187,18 @@ def parse_graph(text: str) -> UndirectedGraph:
 def emit_graph(g: UndirectedGraph) -> str:
     """Serialise in the edge-list format with edges in sorted order."""
     out = [str(len(g.vertices)), " ".join(g.vertices)]
-    out.extend(f"{u} {v}" for u, v in g.sorted_edges())
+    out.extend(f"{u} {v}" for u, v in g._name_pairs())
     return "\n".join(out) + "\n"
 
 
 def emit_dot(g: UndirectedGraph) -> str:
     """Deterministic DOT output: vertices in order, then each edge as its
-    name-sorted pair, in vertex-index order (i < j)."""
+    name-sorted pair, in vertex-index order (i < j). Each name is a quoted
+    ID with its '"' written as '\\"', the one escape DOT defines."""
+    quoted = {v: '"' + v.replace('"', '\\"') + '"' for v in g.vertices}
     out = ["graph G {"]
-    out.extend(f'  "{v}";' for v in g.vertices)
-    out.extend(f'  "{u}" -- "{v}";' for u, v in g._pairs())
+    out.extend(f"  {quoted[v]};" for v in g.vertices)
+    out.extend(f"  {quoted[u]} -- {quoted[v]};" for u, v in g._pairs())
     out.append("}")
     return "\n".join(out) + "\n"
 
@@ -214,24 +207,22 @@ class Orientation:
     """An orientation of every edge of a base graph.
 
     Vertex i of the base graph has the integer bitmask `succ[i]` of its
-    successors' indices, the counterpart of `UndirectedGraph.adj`. The
-    name arc set `arcs` is kept from the input arcs, and an orientation
-    made from masks derives it from `succ` on first use. The
+    successors' indices, the counterpart of `UndirectedGraph.adj`, and
+    the name arc set `arcs` is derived from `succ` on first use. The
     ``verified`` flag is set only after an explicit transitivity check;
     poset algorithms refuse unverified orientations.
     """
 
     def __init__(self, base: UndirectedGraph, arcs):
-        self.arcs: frozenset[tuple[str, str]] = frozenset(arcs)
         index, adj = base.index, base.adj
         succ = [0] * len(adj)
         error = GraphError("orientation must direct each base edge exactly once")
-        for a, b in self.arcs:
+        for a, b in arcs:  # an arc given twice is one arc
             i, j = index.get(a), index.get(b)
             if i is None or j is None or not adj[i] >> j & 1 or succ[j] >> i & 1:
                 raise error
             succ[i] |= 1 << j
-        if 2 * len(self.arcs) != sum(mask.bit_count() for mask in adj):
+        if 2 * sum(mask.bit_count() for mask in succ) != sum(mask.bit_count() for mask in adj):
             raise error
         self.base, self.succ, self._verified = base, tuple(succ), False
 
@@ -250,10 +241,6 @@ class Orientation:
     @property
     def verified(self) -> bool:
         return self._verified
-
-    def successor_map(self) -> dict[str, set[str]]:
-        vs = self.base.vertices
-        return {v: {vs[j] for j in _bits(mask)} for v, mask in zip(vs, self.succ)}
 
     def verify_transitive(self) -> bool:
         """Explicit check: every arc (u,v) has succ(v) ⊆ succ(u)."""
@@ -282,9 +269,6 @@ class PermutationDiagram:
     def _adj(self, index) -> list[int]:
         """Edge bitmasks over the vertex indices `index`."""
         return [a ^ b for a, b in zip(_later(self.pi1, index), _later(self.pi2, index))]
-
-    def induced_edges(self) -> frozenset[tuple[str, str]]:
-        return self.graph().edges
 
     def graph(self) -> UndirectedGraph:
         index = {v: i for i, v in enumerate(self.pi1)}
@@ -327,7 +311,7 @@ def transitive_orientation(g: UndirectedGraph) -> Orientation | None:
     index = g.index
     rem = list(g.adj)  # adjacency of the edges not yet oriented
     succ = [0] * len(rem)
-    for a, b in g.sorted_edges():
+    for a, b in g._name_pairs():
         i, j = index[a], index[b]
         if not rem[i] >> j & 1:
             continue  # oriented with an earlier class
@@ -631,19 +615,6 @@ def maximum_independent_set(g: UndirectedGraph, budget=DEFAULT_BUDGET):
     """Exact maximum independent set. Returns (vertices, complete, nodes)."""
     mask, complete, nodes = _mis_search(g.adj, budget)
     return tuple(g.vertices[i] for i in _bits(mask)), complete, nodes
-
-
-def exact_independent_set(g: UndirectedGraph, t: int, budget=DEFAULT_BUDGET) -> SolveReport:
-    """Find an independent set of size >= t, or prove there is none."""
-    if t < 1:
-        raise GraphError("target size must be at least 1")
-    mask, complete, nodes = _mis_search(g.adj, budget, stop_at=t)
-    found = tuple(g.vertices[i] for i in _bits(mask))
-    if len(found) >= t:
-        return SolveReport("found", found, nodes)
-    if complete:
-        return SolveReport("infeasible", None, nodes)
-    return SolveReport("budget-exceeded", None, nodes)
 
 
 def exact_coloring(g: UndirectedGraph, k: int, budget=DEFAULT_BUDGET) -> SolveReport:

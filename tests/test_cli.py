@@ -42,6 +42,26 @@ def test_gamma_dot(capsys, fixture_path):
     assert out.count("--") == 6
 
 
+def test_gamma_matches_fixture(capsys, fixture_path, fixture_text):
+    # names 1..12 put name order apart from vertex order: "1 11" precedes "1 2"
+    election = str(fixture_path("random12.elec"))
+    expected = fixture_text("random12.graph")
+    code, out, _ = run(capsys, "gamma", election)
+    assert code == 0
+    assert out == expected
+    code, out, _ = run(capsys, "gamma", "--edges", election)
+    assert code == 0
+    assert out.splitlines() == expected.splitlines()[2:]
+
+
+def test_gamma_dot_escapes_quotes(capsys, tmp_path):
+    election = tmp_path / "quote.elec"
+    election.write_text('3 3\na"b c d\na"b>c>d\nc>a"b>d\na"b>c>d\n', encoding="utf-8")
+    code, out, _ = run(capsys, "gamma", "--dot", str(election))
+    assert code == 0
+    assert out == 'graph G {\n  "a\\"b";\n  "c";\n  "d";\n  "a\\"b" -- "c";\n}\n'
+
+
 def test_fullsc_matches_fixture(capsys, fixture_path):
     code, out, _ = run(capsys, "fullsc", "--m", "7")
     assert code == 0

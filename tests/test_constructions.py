@@ -247,7 +247,7 @@ def test_intersection_election_pinned(seed, text):
 def test_intersection_when_it_succeeds_is_correct(v, s1, s2):
     d1 = random_permutation_diagram(v, seed=s1)
     d2 = random_permutation_diagram(v, seed=s2)
-    expected_edges = d1.induced_edges() & d2.induced_edges()
+    expected_edges = d1.graph().edges & d2.graph().edges
     try:
         result = intersect_implementations(d1, d2)
     except ConstructionError:
