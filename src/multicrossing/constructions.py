@@ -40,7 +40,7 @@ class ImplementationResult:
 
 
 def _finish(candidates, votes, target: UndirectedGraph) -> ImplementationResult:
-    election = Election(tuple(candidates), tuple(tuple(v) for v in votes))
+    election = Election(candidates, votes)
     got = multicrossing_graph(election)
     if got != target:
         raise ConstructionError(
@@ -237,10 +237,7 @@ def fully_single_crossing(m: int) -> Election:
     if m < 2:
         raise ConstructionInputError("need at least 2 candidates")
     votes = [range(m)] + [vote for vote, _ in _odd_even_schedule(m)]
-    return Election(
-        tuple(_int_names(m)),
-        tuple(tuple(str(c + 1) for c in vote) for vote in votes),
-    )
+    return Election(_int_names(m), ((str(c + 1) for c in vote) for vote in votes))
 
 
 def implement_general(g: UndirectedGraph) -> ImplementationResult:

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import UndirectedGraph, _check_names, vertex_pair
+from .graphs import UndirectedGraph, _check_names, _content_lines, vertex_pair
 
 
 class ElectionError(ValueError):
@@ -14,6 +14,27 @@ class ElectionError(ValueError):
 
 class ElectionParseError(ElectionError):
     pass
+
+
+class _RowError(ElectionError):
+    """Raised as _RowError(row, fault) for a fault in one row of an
+    election's text form: row 0 is the candidate list, row i is vote i."""
+
+    def __str__(self):
+        row, fault = self.args
+        return f"vote {row}: {fault}" if row else fault
+
+
+def _vote_fault(vote, cset) -> str:
+    """The first fault of a vote that is not a permutation of `cset`."""
+    seen = set()
+    for c in vote:
+        if not isinstance(c, str) or c not in cset:  # a non-str may be unhashable
+            return f"unknown candidate {c!r}"
+        if c in seen:
+            return f"candidate {c!r} listed twice"
+        seen.add(c)
+    return f"vote ranks {len(vote)} of {len(cset)} candidates"
 
 
 @dataclass(frozen=True)
@@ -38,12 +59,10 @@ class Election:
         _check_names(self.candidates, ElectionError, ">")
         cset = set(self.candidates)
         if len(cset) != len(self.candidates):
-            raise ElectionError("duplicate candidate name")
+            raise _RowError(0, "duplicate candidate name")
         for i, vote in enumerate(self.votes, 1):
             if len(vote) != len(self.candidates) or set(vote) != cset:
-                raise ElectionError(
-                    f"vote {i} is not a permutation of the candidate set"
-                )
+                raise _RowError(i, _vote_fault(vote, cset))
 
     @property
     def m(self) -> int:
@@ -91,13 +110,10 @@ def parse_election(text: str) -> Election:
     """Parse the election file format.
 
     Line 1: "m n", line 2: m candidate names, then n ranking lines with
-    names separated by ">". Lines starting with "#" are comments.
+    names separated by ">". Lines starting with "#" are comments. `Election`
+    checks the names and votes; a fault in them is reported by its line.
     """
-    lines = [
-        (no, line.strip())
-        for no, line in enumerate(text.splitlines(), 1)
-        if line.strip() and not line.lstrip().startswith("#")
-    ]
+    lines = _content_lines(text)
     if not lines:
         raise ElectionParseError("empty election file")
     no, head = lines[0]
@@ -111,34 +127,19 @@ def parse_election(text: str) -> Election:
     if len(lines) < 2:
         raise ElectionParseError("missing candidate name line")
     no, namerow = lines[1]
-    candidates = tuple(namerow.split())
+    candidates = namerow.split()
     if len(candidates) != m:
         raise ElectionParseError(
             f"line {no}: expected {m} candidate names, got {len(candidates)}"
         )
-    if len(set(candidates)) != m:
-        raise ElectionParseError(f"line {no}: duplicate candidate name")
     body = lines[2:]
     if len(body) != n:
         raise ElectionParseError(f"expected {n} vote lines, found {len(body)}")
-    cset = set(candidates)
-    votes = []
-    for no, line in body:
-        vote = tuple(tok.strip() for tok in line.split(">"))
-        seen = set()
-        for c in vote:
-            if c not in cset:
-                raise ElectionParseError(f"line {no}: unknown candidate {c!r}")
-            if c in seen:
-                raise ElectionParseError(f"line {no}: candidate {c!r} listed twice")
-            seen.add(c)
-        if len(vote) != m:
-            raise ElectionParseError(
-                f"line {no}: vote ranks {len(vote)} of {m} candidates"
-            )
-        votes.append(vote)
     try:
-        return Election(candidates, tuple(votes))
+        return Election(candidates, [tuple(map(str.strip, line.split(">"))) for _, line in body])
+    except _RowError as exc:
+        row, fault = exc.args
+        raise ElectionParseError(f"line {lines[row + 1][0]}: {fault}") from None
     except ElectionError as exc:
         raise ElectionParseError(str(exc)) from None
 
@@ -157,10 +158,8 @@ def restrict(e: Election, keep) -> Election:
     unknown = kset - set(e.candidates)
     if unknown:
         raise ElectionError(f"unknown candidates in restriction: {sorted(unknown)}")
-    return Election(
-        tuple(c for c in e.candidates if c in kset),
-        tuple(tuple(c for c in vote if c in kset) for vote in e.votes),
-    )
+    return Election((c for c in e.candidates if c in kset),
+                    ((c for c in vote if c in kset) for vote in e.votes))
 
 
 def crossing_sequence(e: Election, a: str, b: str) -> CrossingSequence:

@@ -27,8 +27,8 @@ def random_election(m: int, n: int, seed=None, rng=None) -> Election:
     for _ in range(n):
         vote = list(candidates)
         r.shuffle(vote)
-        votes.append(tuple(vote))
-    return Election(candidates, tuple(votes))
+        votes.append(vote)
+    return Election(candidates, votes)
 
 
 def random_graph(v: int, p: float, seed=None, rng=None) -> UndirectedGraph:

@@ -34,6 +34,12 @@ def _check_names(names, error, forbidden=""):
             raise error(f"invalid name {name!r}: {rule}")
 
 
+def _content_lines(text: str) -> list[tuple[int, str]]:
+    """(line number, stripped line) of each line that is not blank or a "#" comment."""
+    return [(no, s) for no, line in enumerate(text.splitlines(), 1)
+            if (s := line.strip()) and s[0] != "#"]
+
+
 _ONE = re.compile("1")
 
 
@@ -156,11 +162,7 @@ def parse_graph(text: str) -> UndirectedGraph:
     Line 1: vertex count, line 2: vertex names, then one edge per line
     "u v". Blank lines and lines starting with "#" are ignored.
     """
-    lines = [
-        (no, line.strip())
-        for no, line in enumerate(text.splitlines(), 1)
-        if line.strip() and not line.lstrip().startswith("#")
-    ]
+    lines = _content_lines(text)
     if len(lines) < 2:
         raise GraphParseError("graph file needs a vertex count and a name line")
     no, head = lines[0]

@@ -38,22 +38,66 @@ def test_parse_fixture(fixture_text):
     assert not e.prefers(4, "D", "N")
 
 
+# One fault per text, with the exact message parse_election gives for it.
+SINGLE_FAULTS = [
+    ("", "empty election file"),
+    ("2\na b\na>b", "line 1: expected header 'm n', got '2'"),
+    ("x 1\na b\na>b", "line 1: malformed header 'x 1'"),
+    ("2 1\n", "missing candidate name line"),
+    ("2 1\na b c\na>b", "line 2: expected 2 candidate names, got 3"),
+    ("2 1\na a\na>a", "line 2: duplicate candidate name"),
+    ("3 1\na b b\na>b>b", "line 2: duplicate candidate name"),
+    ("2 2\na b\na>b", "expected 2 vote lines, found 1"),
+    ("2 1\na b\na>c", "line 3: unknown candidate 'c'"),
+    ("2 1\na b\na>a", "line 3: candidate 'a' listed twice"),
+    ("3 1\na b c\na>b", "line 3: vote ranks 2 of 3 candidates"),
+    ("2 1\na b\na>>b", "line 3: unknown candidate ''"),
+    ("2 1\ny #x\ny>#x", "invalid name '#x': a name is a non-empty string without "
+                        "whitespace, not starting with '#' and without '>'"),
+    ("# c\n\n2 2\na b\n# votes\na>b\n\nb>c\n", "line 8: unknown candidate 'c'"),
+]
+
+
 def test_parse_rejects_bad_inputs():
-    with pytest.raises(ElectionParseError):
-        parse_election("")
-    with pytest.raises(ElectionParseError):
-        parse_election("2 1\na b\na>a")
-    with pytest.raises(ElectionParseError):
-        parse_election("2 1\na b\na>c")
-    with pytest.raises(ElectionParseError):
-        parse_election("2 2\na b\na>b")
-    with pytest.raises(ElectionParseError):
-        parse_election("3 1\na b b\na>b>b")
+    for text, message in SINGLE_FAULTS:
+        with pytest.raises(ElectionParseError) as info:
+            parse_election(text)
+        assert str(info.value) == message, text
 
 
 def test_parse_error_reports_line_number():
     with pytest.raises(ElectionParseError, match="line 4"):
         parse_election("2 2\na b\na>b\nb>b")
+
+
+@given(st.builds(random_election, st.integers(2, 6), st.integers(1, 5),
+                 st.integers(min_value=0, max_value=2**32 - 1)), st.data())
+def test_vote_fault_names_its_file_line(e, data):
+    # corrupt vote v, then put comment and blank lines somewhere before it
+    v = data.draw(st.integers(1, e.n))
+    vote = list(e.votes[v - 1])
+    j = data.draw(st.integers(1, e.m - 1))
+    kind = data.draw(st.sampled_from(["unknown", "repeated", "dropped"]))
+    if kind == "unknown":
+        vote[j], fault = "x", "unknown candidate 'x'"
+    elif kind == "repeated":
+        vote[j] = vote[data.draw(st.integers(0, j - 1))]
+        fault = f"candidate {vote[j]!r} listed twice"
+    else:
+        del vote[j]
+        fault = f"vote ranks {e.m - 1} of {e.m} candidates"
+    votes = e.votes[:v - 1] + (tuple(vote),) + e.votes[v:]
+    lines = emit_election(e).splitlines()
+    lines[v + 1] = ">".join(vote)
+    fillers = data.draw(st.lists(st.sampled_from(["", "  ", "# note", "  # a>b"]), max_size=4))
+    at = data.draw(st.integers(0, v + 1))
+    lines[at:at] = fillers
+    with pytest.raises(ElectionParseError) as info:
+        parse_election("\n".join(lines))
+    assert str(info.value) == f"line {v + 2 + len(fillers)}: {fault}"
+    with pytest.raises(ElectionError) as info:
+        Election(e.candidates, votes)
+    assert str(info.value) == f"vote {v}: {fault}"
 
 
 def test_comments_and_blank_lines_ignored():
@@ -127,10 +171,16 @@ def test_election_from_lists_is_a_value():
 
 
 def test_election_validation():
-    with pytest.raises(Exception):
-        Election(("a", "b"), (("a",),))
-    with pytest.raises(Exception):
-        Election(("a", "a"), (("a", "a"),))
+    abc = ("a", "b", "c")
+    for candidates, votes, message in (
+            (("a", "b"), (("a",),), "vote 1: vote ranks 1 of 2 candidates"),
+            (("a", "b"), ((["a"],),), "vote 1: unknown candidate ['a']"),
+            (("a", "a"), (("a", "a"),), "duplicate candidate name"),
+            (abc, (abc, ("a", "x", "c")), "vote 2: unknown candidate 'x'"),
+            (abc, (abc, ("a", "b", "a")), "vote 2: candidate 'a' listed twice")):
+        with pytest.raises(ElectionError) as info:
+            Election(candidates, votes)
+        assert str(info.value) == message
 
 
 def test_crossing_sequence_table_fixture(fixture_text):
