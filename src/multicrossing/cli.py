@@ -40,6 +40,7 @@ from .elections import (
 from .generate import random_election, random_graph
 from .graphs import (
     GraphError,
+    _edge_lines,
     emit_dot,
     emit_graph,
     parse_graph,
@@ -97,8 +98,7 @@ def _cmd_gamma(args) -> int:
     if args.dot:
         sys.stdout.write(emit_dot(g))
     elif args.edges:
-        for u, v in g._name_pairs():
-            print(f"{u} {v}")
+        sys.stdout.write(_edge_lines(g))
     else:
         sys.stdout.write(emit_graph(g))
     return EXIT_OK

@@ -49,9 +49,16 @@ class Election:
     votes: tuple[tuple[str, ...], ...]
 
     def __post_init__(self):
+        # a string is a sequence of names too, of one-character names: refuse it
+        if isinstance(self.candidates, str):
+            raise ElectionError(f"candidates: expected a sequence of names, got {self.candidates!r}")
+        votes = tuple(self.votes)
+        for i, vote in enumerate(votes, 1):
+            if isinstance(vote, str):
+                raise _RowError(i, f"expected a sequence of names, got {vote!r}")
         # stored as tuples, so an election built from lists hashes and equals its parsed copy
         object.__setattr__(self, "candidates", tuple(self.candidates))
-        object.__setattr__(self, "votes", tuple(map(tuple, self.votes)))
+        object.__setattr__(self, "votes", tuple(map(tuple, votes)))
         if not self.candidates:
             raise ElectionError("election needs at least one candidate")
         if not self.votes:
@@ -61,7 +68,11 @@ class Election:
         if len(cset) != len(self.candidates):
             raise _RowError(0, "duplicate candidate name")
         for i, vote in enumerate(self.votes, 1):
-            if len(vote) != len(self.candidates) or set(vote) != cset:
+            try:
+                valid = len(vote) == len(cset) and set(vote) == cset
+            except TypeError:  # an unhashable entry
+                valid = False
+            if not valid:
                 raise _RowError(i, _vote_fault(vote, cset))
 
     @property
@@ -172,19 +183,33 @@ def crossing_sequence(e: Election, a: str, b: str) -> CrossingSequence:
     return CrossingSequence((a, b), signs)
 
 
-def _crossing_rows(e: Election):
-    """Yield (a, flips) for each candidate index a < m-1.
+# Cap on the pair-vote comparisons of one block of `_crossing_blocks`.
+_BLOCK_COMPARISONS = 1 << 18
 
-    flips[k, j] is True when voters k+1 and k+2 (1-based) disagree on
-    candidate a against candidate a+1+j, so a column sum counts that
-    pair's crossings. One row at a time keeps memory at O(n * m).
+
+def _crossing_blocks(e: Election):
+    """Yield (a, flips) for blocks of candidate rows a, ..., a+B-1.
+
+    flips[k, r, j] is True when voters k+1 and k+2 (1-based) disagree on
+    candidate a+r against candidate a+1+j, so a sum over axis 0 counts
+    that pair's crossings. Entries with a+1+j < a+r repeat pairs of the
+    block's own rows in mirror image; a+1+j == a+r pairs a candidate
+    with itself and is never True. B doubles from 1 while a block stays
+    within _BLOCK_COMPARISONS, so a scan that stops early has done
+    little work, and working memory is O(n * m) plus one block.
     """
+    m, n = e.m, e.n
     idx = {c: i for i, c in enumerate(e.candidates)}
-    ballots = np.array([[idx[c] for c in vote] for vote in e.votes])
-    pos = np.argsort(ballots, axis=1)  # pos[voter][candidate] = rank
-    for a in range(e.m - 1):
-        before = pos[:, a, None] < pos[:, a + 1:]
+    ballots = np.fromiter((idx[c] for vote in e.votes for c in vote), np.intp, m * n)
+    # pos[voter][candidate] = rank, in the narrowest dtype that holds m - 1
+    pos = np.argsort(ballots.reshape(n, m), axis=1).astype(np.min_scalar_type(m - 1))
+    a, rows = 0, 1
+    while a < m - 1:
+        rows = max(1, min(rows, _BLOCK_COMPARISONS // (n * (m - 1 - a))))
+        b = min(a + rows, m - 1)
+        before = pos[:, a:b, None] < pos[:, None, a + 1:]
         yield a, before[:-1] != before[1:]
+        a, rows = b, 2 * rows
 
 
 def is_single_crossing(e: Election):
@@ -194,12 +219,13 @@ def is_single_crossing(e: Election):
     voters i < j < k witness the double crossing of the pair: the first
     multi-crossing pair in candidate order, at its first two crossings.
     """
-    for a, flips in _crossing_rows(e):
-        multi = np.flatnonzero(flips.sum(axis=0) >= 2)
+    for a, flips in _crossing_blocks(e):
+        multi = np.flatnonzero(flips.sum(axis=0, dtype=np.int32) >= 2)
         if multi.size:
-            j = int(multi[0])
-            f, g = (int(x) for x in np.flatnonzero(flips[:, j])[:2])
-            pair = vertex_pair(e.candidates[a], e.candidates[a + 1 + j])
+            # row-major first: a pair below the block's diagonal has its mirror earlier
+            r, j = divmod(int(multi[0]), flips.shape[2])
+            f, g = (int(x) for x in np.flatnonzero(flips[:, r, j])[:2])
+            pair = vertex_pair(e.candidates[a + r], e.candidates[a + 1 + j])
             return False, (pair, (f + 1, f + 2, g + 2))
     return True, None
 
@@ -207,14 +233,14 @@ def is_single_crossing(e: Election):
 def multicrossing_graph(e: Election) -> UndirectedGraph:
     """Graph on the candidates with an edge for every multi-crossing pair.
 
-    O(n * m^2) pairwise scan, vectorised one candidate row at a time; the
-    multi-crossing bits of each row are packed into adjacency bitmasks.
+    O(n * m^2) pairwise scan, vectorised one block of candidate rows at a
+    time; the multi-crossing bits are packed into adjacency bitmasks.
     """
     m = e.m
     multi = np.zeros((m, m), dtype=bool)
-    for a, flips in _crossing_rows(e):
-        multi[a, a + 1:] = flips.sum(axis=0) >= 2
-    multi |= multi.T
+    for a, flips in _crossing_blocks(e):
+        multi[a:a + flips.shape[1], a + 1:] = flips.sum(axis=0, dtype=np.int32) >= 2
+    multi |= multi.T  # the blocks' lower-triangle entries are true values too
     packed = np.packbits(multi, axis=1, bitorder="little")
     adj = [int.from_bytes(row.tobytes(), "little") for row in packed]
     return UndirectedGraph._from_masks(e.candidates, adj)

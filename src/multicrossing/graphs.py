@@ -7,6 +7,8 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 
+import numpy as np
+
 
 class GraphError(ValueError):
     pass
@@ -112,18 +114,6 @@ class UndirectedGraph:
                 out.append((a, b) if a < b else (b, a))
         return out
 
-    def _name_pairs(self):
-        """The pairs of `edges` in name order, as `sorted(edges)` lists
-        them: each vertex in name order, with its neighbours of higher
-        name sorted by name."""
-        vs, index, adj = self.vertices, self.index, self.adj
-        order = sorted(vs)
-        later = _later(order, index)
-        for a in order:
-            i = index[a]
-            for b in sorted(vs[j] for j in _bits(adj[i] & later[i])):
-                yield a, b
-
     @cached_property
     def edges(self) -> frozenset[tuple[str, str]]:
         return frozenset(self._pairs())
@@ -186,11 +176,39 @@ def parse_graph(text: str) -> UndirectedGraph:
         raise GraphParseError(str(exc)) from None
 
 
+def _name_order_edges(g: UndirectedGraph):
+    """Index arrays (i, j) of the edges in name order, as `sorted(g.edges)`
+    lists them: each vertex in name order, with its neighbours of higher
+    name sorted by name."""
+    vs = g.vertices
+    size = len(vs)
+    order = np.array(sorted(range(size), key=vs.__getitem__))
+    width = (size + 7) // 8
+    packed = np.frombuffer(b"".join(mask.to_bytes(width, "little") for mask in g.adj), np.uint8)
+    bits = np.unpackbits(packed.reshape(size, width), axis=1, count=size, bitorder="little")
+    rows, cols = np.nonzero(np.triu(bits[np.ix_(order, order)], 1))
+    return order[rows], order[cols]
+
+
+def _edge_lines(g: UndirectedGraph) -> str:
+    """The lines "u v" of the edges in name order, each ending in a newline:
+    one join per vertex over its higher-named neighbours."""
+    vs = g.vertices
+    left, right = _name_order_edges(g)
+    if not left.size:
+        return ""
+    names = [vs[j] for j in right.tolist()]
+    cuts = [0, *(np.flatnonzero(left[1:] != left[:-1]) + 1).tolist(), len(names)]
+    out = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        head = vs[left[lo]] + " "
+        out.append(head + ("\n" + head).join(names[lo:hi]) + "\n")
+    return "".join(out)
+
+
 def emit_graph(g: UndirectedGraph) -> str:
     """Serialise in the edge-list format with edges in sorted order."""
-    out = [str(len(g.vertices)), " ".join(g.vertices)]
-    out.extend(f"{u} {v}" for u, v in g._name_pairs())
-    return "\n".join(out) + "\n"
+    return f"{len(g.vertices)}\n{' '.join(g.vertices)}\n{_edge_lines(g)}"
 
 
 def emit_dot(g: UndirectedGraph) -> str:
@@ -310,11 +328,9 @@ def transitive_orientation(g: UndirectedGraph) -> Orientation | None:
     class, repeat. The final orientation is re-verified explicitly, so the
     verdict never rests on recognition subtleties alone.
     """
-    index = g.index
     rem = list(g.adj)  # adjacency of the edges not yet oriented
     succ = [0] * len(rem)
-    for a, b in g._name_pairs():
-        i, j = index[a], index[b]
+    for i, j in zip(*(side.tolist() for side in _name_order_edges(g))):
         if not rem[i] >> j & 1:
             continue  # oriented with an earlier class
         forced = _force_class(i, j, rem)

@@ -1,9 +1,19 @@
 """End-to-end runs of the command-line interface."""
 import json
+from random import Random
 
 import pytest
 
-from multicrossing import UndirectedGraph, cli, constructions
+from multicrossing import (
+    Election,
+    UndirectedGraph,
+    cli,
+    constructions,
+    emit_election,
+    multicrossing_graph,
+)
+from multicrossing.constructions import implement_clique, implement_empty
+from multicrossing.generate import random_election
 
 pytestmark = pytest.mark.usefixtures("capsys")
 
@@ -52,6 +62,47 @@ def test_gamma_matches_fixture(capsys, fixture_path, fixture_text):
     code, out, _ = run(capsys, "gamma", "--edges", election)
     assert code == 0
     assert out.splitlines() == expected.splitlines()[2:]
+
+
+def test_gamma_dense_matches_fixture(capsys, tmp_path, fixture_text):
+    # 60 candidates, 1770 edges, in the name order "1", "10", "11", ..., and
+    # a γ that spans every block of the crossing kernel
+    code, out, _ = run(capsys, "gen", "random-election", "--m", "60", "--n", "25", "--seed", "7")
+    assert code == 0
+    election = tmp_path / "random60x25.elec"
+    election.write_text(out, encoding="utf-8")
+    expected = fixture_text("random60x25.graph")
+    code, out, _ = run(capsys, "gamma", str(election))
+    assert code == 0
+    assert out == expected
+    code, out, _ = run(capsys, "gamma", "--edges", str(election))
+    assert code == 0
+    assert out.splitlines() == expected.splitlines()[2:]
+    code, out, _ = run(capsys, "check", str(election))
+    assert code == 1
+    assert out == "not single-crossing: pair {1,2} crosses twice (witness voters 2 < 3 < 5)\n"
+
+
+@pytest.mark.parametrize("v", [1, 7, 8, 9, 63, 64, 65])
+def test_gamma_edges_in_name_order_around_byte_boundaries(capsys, tmp_path, v):
+    rng = Random(v)
+    names = [str(k) for k in range(v)]
+    rng.shuffle(names)
+    dense = random_election(v, 6, seed=v)
+    rename = dict(zip(dense.candidates, names))
+    dense = Election(names, [[rename[c] for c in vote] for vote in dense.votes])
+    for e in (dense, implement_empty(names).election, implement_clique(names).election):
+        g = multicrossing_graph(e)
+        election = tmp_path / "e.elec"
+        election.write_text(emit_election(e), encoding="utf-8")
+        lines = [f"{a} {b}" for a, b in sorted(g.edges)]
+        code, out, _ = run(capsys, "gamma", "--edges", str(election))
+        assert code == 0
+        assert out.splitlines() == lines
+        code, out, _ = run(capsys, "gamma", str(election))
+        assert code == 0
+        assert out.splitlines() == [str(v), " ".join(names)] + lines
+    assert len(g.edges) == v * (v - 1) // 2  # the clique
 
 
 def test_gamma_dot_escapes_quotes(capsys, tmp_path):

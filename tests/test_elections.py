@@ -16,7 +16,10 @@ from multicrossing import (
     parse_election,
     restrict,
 )
-from multicrossing.generate import random_election
+from multicrossing.constructions import implement_general
+from multicrossing.elections import _BLOCK_COMPARISONS, _crossing_blocks
+from multicrossing.generate import random_election, random_graph
+from multicrossing.graphs import UndirectedGraph
 
 
 def elections(max_m=6, max_n=5):
@@ -175,6 +178,11 @@ def test_election_validation():
     for candidates, votes, message in (
             (("a", "b"), (("a",),), "vote 1: vote ranks 1 of 2 candidates"),
             (("a", "b"), ((["a"],),), "vote 1: unknown candidate ['a']"),
+            (("a", "b"), ((["x"], "a"),), "vote 1: unknown candidate ['x']"),
+            # a string is a sequence of one-character names: refused, not split
+            ("ab", ("ab",), "candidates: expected a sequence of names, got 'ab'"),
+            (("a", "b"), ("ab", "ba"), "vote 1: expected a sequence of names, got 'ab'"),
+            (("a", "b"), (("a", "b"), "ba"), "vote 2: expected a sequence of names, got 'ba'"),
             (("a", "a"), (("a", "a"),), "duplicate candidate name"),
             (abc, (abc, ("a", "x", "c")), "vote 2: unknown candidate 'x'"),
             (abc, (abc, ("a", "b", "a")), "vote 2: candidate 'a' listed twice")):
@@ -219,19 +227,61 @@ def test_witness_is_a_real_double_crossing(e):
     assert e.prefers(i, a, b) == e.prefers(k, a, b) != e.prefers(j, a, b)
 
 
-@given(elections(max_m=7, max_n=6))
-def test_witness_is_first_multicrossing_pair(e):
-    # the first pair in candidate order with two crossings, voters
-    # (f+1, f+2, g+2) around its first two sign flips f < g
-    expected = None
+def crossing_reference(e):
+    """γ's edges and the single-crossing witness, pair by pair from
+    `crossing_sequence`: the first multi-crossing pair in candidate-index
+    order, at the voters around its first two sign flips."""
+    edges, witness = set(), None
     for a, b in combinations(e.candidates, 2):
         signs = crossing_sequence(e, a, b).signs
         flips = [k for k in range(len(signs) - 1) if signs[k] != signs[k + 1]]
         if len(flips) >= 2:
-            f, g = flips[:2]
-            expected = (min(a, b), max(a, b)), (f + 1, f + 2, g + 2)
-            break
-    assert is_single_crossing(e) == (expected is None, expected)
+            edges.add((min(a, b), max(a, b)))
+            if witness is None:
+                f, g = flips[:2]
+                witness = (min(a, b), max(a, b)), (f + 1, f + 2, g + 2)
+    return edges, witness
+
+
+def assert_kernel_matches_reference(e):
+    edges, witness = crossing_reference(e)
+    assert multicrossing_graph(e).edges == edges
+    assert is_single_crossing(e) == (witness is None, witness)
+
+
+def block_rows(e):
+    return [flips.shape[1] for _, flips in _crossing_blocks(e)]
+
+
+def cap_binds(rows):
+    """Some block short of the last has fewer than twice the rows of the one before."""
+    return any(r < 2 * p for p, r in zip(rows, rows[1:-1]))
+
+
+@given(elections(max_m=14, max_n=8), st.sampled_from([1, 16, 100, _BLOCK_COMPARISONS]))
+def test_witness_is_first_multicrossing_pair(e, cap):
+    # γ and the witness against the reference; blocks double 1, 2, 4, 8 on
+    # 14 candidates, and the small caps cut them short
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("multicrossing.elections._BLOCK_COMPARISONS", cap)
+        assert sum(block_rows(e)) == e.m - 1
+        assert_kernel_matches_reference(e)
+
+
+def test_kernel_where_the_block_cap_binds():
+    e = random_election(50, 500, seed=3)
+    assert cap_binds(block_rows(e))
+    assert_kernel_matches_reference(e)
+    # the only multi-crossing pair lies in the last block
+    names = [str(v) for v in range(1, 41)]
+    late = implement_general(UndirectedGraph(names, [("39", "40")])).election
+    assert block_rows(late)[-1] > 1
+    assert_kernel_matches_reference(late)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("multicrossing.elections._BLOCK_COMPARISONS", 1 << 12)
+        for e in (implement_general(random_graph(40, 0.2, seed=1)).election, late):
+            assert cap_binds(block_rows(e))
+            assert_kernel_matches_reference(e)
 
 
 @given(elections())

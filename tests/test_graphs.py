@@ -1,6 +1,7 @@
 """Graph data type, recognition algorithms and the exact solvers."""
 import sys
 from itertools import combinations
+from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -172,6 +173,20 @@ def test_emitted_edges_are_the_sorted_pairs(spec, rng):
     g = UndirectedGraph(vs, edge_list)
     lines = emit_graph(g).splitlines()
     assert lines[2:] == [f"{u} {v}" for u, v in sorted(g.edges)]
+
+
+@pytest.mark.parametrize("v", [1, 7, 8, 9, 63, 64, 65])
+def test_emitted_edges_around_byte_boundaries(v):
+    # the masks are unpacked a byte at a time; names "0".."64" in shuffled
+    # vertex order keep name order apart from both vertex and numeric order
+    rng = Random(v)
+    vs = [str(k) for k in range(v)]
+    rng.shuffle(vs)
+    pairs = list(combinations(vs, 2))
+    for edges in ([], pairs, [p for p in pairs if rng.random() < 0.3]):
+        g = UndirectedGraph(vs, edges)
+        assert emit_graph(g).splitlines() == [str(v), " ".join(vs)] + [
+            f"{a} {b}" for a, b in sorted(g.edges)]
 
 
 @given(graphs(max_v=5))
