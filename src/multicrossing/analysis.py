@@ -17,12 +17,12 @@ from .graphs import (
     Orientation,
     UndirectedGraph,
     _antichain,
+    _bits,
     _kuhn_matching,
     _later,
     _mis_search,
     exact_coloring,
     is_bipartite,
-    maximum_independent_set,
     mirsky_coloring,
 )
 
@@ -78,33 +78,43 @@ def _vote1_orientation(e: Election, gamma: UndirectedGraph) -> Orientation:
     return o
 
 
-def _lexmin_max_independent_set(gamma: UndirectedGraph, size: int,
+def _lexmin_max_independent_set(gamma: UndirectedGraph, witness: int,
                                 holds) -> tuple[str, ...] | None:
     """Lexicographically smallest (by candidate name) maximum independent set.
 
     Greedy over sorted names; a candidate joins when some maximum set
     extends the current choice using only later, compatible candidates.
-    `holds(pool, need)` answers whether the candidates of the vertex mask
-    `pool` include `need` (>= 1) independent ones: True, False, or None
-    when that is unknown (the search ran out of budget); the refinement
-    then returns None.
+    `witness` is the vertex mask of a maximum independent set. Its members
+    not yet visited always extend the current choice to a maximum set, so
+    a candidate in it joins with no search. For any other candidate
+    `holds(pool, need)` searches the vertex mask `pool` for `need` (>= 1)
+    independent candidates: it returns the mask of those it found, which
+    becomes the witness, False, or None when that is unknown (the search
+    ran out of budget); the refinement then returns None.
     """
     vs, adj = gamma.vertices, gamma.adj
+    size = witness.bit_count()
     later = (1 << len(vs)) - 1  # candidates not yet considered
     blocked = 0  # neighbours of the chosen candidates
     chosen: list[str] = []
     for c in sorted(range(len(vs)), key=vs.__getitem__):
-        later ^= 1 << c
-        if blocked >> c & 1:
+        bit = 1 << c
+        later ^= bit
+        if blocked & bit:
             continue
         need = size - len(chosen) - 1
-        pool = later & ~(blocked | adj[c])
-        extends = need <= 0 or (pool.bit_count() >= need and holds(pool, need))
-        if extends is None:
-            return None
-        if extends:
-            chosen.append(vs[c])
-            blocked |= adj[c]
+        if not witness & bit and need > 0:
+            pool = later & ~(blocked | adj[c])
+            if pool.bit_count() < need:
+                continue
+            found = holds(pool, need)
+            if found is None:
+                return None
+            if found is False:
+                continue
+            witness = found
+        chosen.append(vs[c])
+        blocked |= adj[c]
         if len(chosen) == size:
             break
     if len(chosen) != size:
@@ -131,26 +141,26 @@ def candidate_deletion(e: Election, k: int, budget: int = DEFAULT_BUDGET) -> Ana
         full = (1 << e.m) - 1
         start, _ = _kuhn_matching(o.succ, full)  # each probe resumes from its pairs in the pool
 
-        def holds(pool: int, need: int) -> bool:
-            return _antichain(o, pool, start).bit_count() >= need
+        def holds(pool: int, need: int) -> int | bool:
+            found = _antichain(o, pool, start)
+            return found if found.bit_count() >= need else False
 
-        size = _antichain(o, full, start).bit_count()
-        kept = _lexmin_max_independent_set(gamma, size, holds)
+        kept = _lexmin_max_independent_set(gamma, _antichain(o, full, start), holds)
         method, complete, nodes = "three-voter-poly", True, 0
     else:
-        best, complete, nodes = maximum_independent_set(gamma, budget)
-        kept = tuple(sorted(best))
+        best, complete, nodes = _mis_search(gamma.adj, budget)
+        kept = tuple(sorted(gamma.vertices[i] for i in _bits(best)))
 
-        def holds(pool: int, need: int) -> bool | None:
+        def holds(pool: int, need: int) -> int | bool | None:
             nonlocal nodes  # every probe draws on what the solve left of the budget
             found, done, used = _mis_search(gamma.adj, budget - nodes, stop_at=need, within=pool)
             nodes += used
             if found.bit_count() >= need:
-                return True
+                return found
             return False if done else None
 
         if complete:  # a probe out of budget leaves the sorted maximum set
-            lexmin = _lexmin_max_independent_set(gamma, len(best), holds)
+            lexmin = _lexmin_max_independent_set(gamma, best, holds)
             complete = lexmin is not None
             kept = lexmin or kept
         method = "general-exact"

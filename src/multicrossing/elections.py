@@ -25,6 +25,14 @@ class _RowError(ElectionError):
         return f"vote {row}: {fault}" if row else fault
 
 
+def _iterable(x) -> bool:
+    try:
+        iter(x)
+    except TypeError:
+        return False
+    return True
+
+
 def _vote_fault(vote, cset) -> str:
     """The first fault of a vote that is not a permutation of `cset`."""
     seen = set()
@@ -49,16 +57,26 @@ class Election:
     votes: tuple[tuple[str, ...], ...]
 
     def __post_init__(self):
-        # a string is a sequence of names too, of one-character names: refuse it
-        if isinstance(self.candidates, str):
-            raise ElectionError(f"candidates: expected a sequence of names, got {self.candidates!r}")
-        votes = tuple(self.votes)
+        candidates, votes = self.candidates, self.votes
+        # a string is a sequence of names too, of one-character names: refuse it,
+        # and anything that is not iterable at all
+        if isinstance(candidates, str) or not _iterable(candidates):
+            raise ElectionError(f"candidates: expected a sequence of names, got {candidates!r}")
+        if not _iterable(votes):
+            raise ElectionError(f"votes: expected a sequence of votes, got {votes!r}")
+        votes = tuple(votes)
         for i, vote in enumerate(votes, 1):
             if isinstance(vote, str):
                 raise _RowError(i, f"expected a sequence of names, got {vote!r}")
         # stored as tuples, so an election built from lists hashes and equals its parsed copy
-        object.__setattr__(self, "candidates", tuple(self.candidates))
-        object.__setattr__(self, "votes", tuple(map(tuple, votes)))
+        object.__setattr__(self, "candidates", tuple(candidates))
+        try:
+            object.__setattr__(self, "votes", tuple(map(tuple, votes)))
+        except TypeError:  # name the first vote that is not iterable
+            for i, vote in enumerate(votes, 1):
+                if not _iterable(vote):
+                    raise _RowError(i, f"expected a sequence of names, got {vote!r}") from None
+            raise
         if not self.candidates:
             raise ElectionError("election needs at least one candidate")
         if not self.votes:

@@ -20,7 +20,14 @@ from multicrossing import (
     maximum_independent_set,
 )
 from multicrossing import bruteforce as bf
-from multicrossing.constructions import implement_clique, implement_even_cycle, implement_tree
+from multicrossing.analysis import _lexmin_max_independent_set
+from multicrossing.constructions import (
+    implement_clique,
+    implement_even_cycle,
+    implement_tree,
+    path_graph,
+)
+from multicrossing.graphs import DEFAULT_BUDGET, _mis_search
 from multicrossing.generate import random_election, random_graph, random_tree
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -161,6 +168,49 @@ def test_deletion_budget_covers_the_refinement():
     assert short.kept == tuple(sorted(best))
     assert short.nodes_explored == mis_nodes + 1
     assert candidate_deletion(e, k, budget=full.nodes_explored - 1).budget_exceeded
+
+
+def counting_holds(gamma):
+    """A `holds` for the refinement that answers by exact search and logs
+    each call's (pool, need)."""
+    calls = []
+
+    def holds(pool, need):
+        calls.append((pool, need))
+        found, done, _ = _mis_search(gamma.adj, DEFAULT_BUDGET, stop_at=need, within=pool)
+        assert done
+        return found if found.bit_count() >= need else False
+
+    return holds, calls
+
+
+def test_refinement_skips_the_witness_members():
+    gamma = path_graph(6)  # maximum sets: {1,3,5} {1,3,6} {1,4,6} {2,4,6}
+
+    def mask(names):
+        return sum(1 << gamma.index[v] for v in names)
+
+    holds, calls = counting_holds(gamma)
+    assert _lexmin_max_independent_set(gamma, mask("135"), holds) == ("1", "3", "5")
+    assert calls == []  # the witness already is the lexmin set
+    # 1 is in the witness and joins unsearched; 3 is not, and its pool is {5, 6}
+    assert _lexmin_max_independent_set(gamma, mask("146"), holds) == ("1", "3", "5")
+    assert calls == [(mask("56"), 1)]
+    calls.clear()
+    assert _lexmin_max_independent_set(gamma, mask("246"), holds) == ("1", "3", "5")
+    assert calls == [(mask("3456"), 2)]  # the find {3,5} carries 3 and 5
+    assert _lexmin_max_independent_set(gamma, mask("246"), lambda pool, need: None) is None
+
+
+@given(st.builds(random_graph, st.integers(min_value=1, max_value=9),
+                 st.sampled_from([0.2, 0.5, 0.8]), seeds))
+@settings(max_examples=80, deadline=None)
+def test_refinement_from_the_solver_witness_is_lexmin(g):
+    best, complete, _ = _mis_search(g.adj, DEFAULT_BUDGET)
+    assert complete
+    holds, calls = counting_holds(g)
+    assert _lexmin_max_independent_set(g, best, holds) == lexmin_oracle(g)
+    assert all(pool.bit_count() >= need >= 1 for pool, need in calls)
 
 
 def test_deletion_decided_on_g80():

@@ -202,6 +202,20 @@ def test_analyze_three_voter_deletion_at_size(capsys, tmp_path, fixture_text):
     assert out == fixture_text("random200x3.deletion")
 
 
+def test_analyze_general_deletion_kept_matches_fixture(capsys, tmp_path, fixture_text):
+    # 4 voters: the exact solve and its lexmin probes pick 17 of 80 candidates
+    code, out, _ = run(capsys, "gen", "random-election",
+                       "--m", "80", "--n", "4", "--seed", "7")
+    assert code == 0
+    election = tmp_path / "random80x4.elec"
+    election.write_text(out, encoding="utf-8")
+    code, out, _ = run(capsys, "analyze", "deletion", str(election), "--k", "63")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["method"] == "general-exact" and payload["optimal"]
+    assert payload["kept"] == fixture_text("random80x4.kept").split()
+
+
 def test_analyze_budget_exceeded_exit_3(capsys, fixture_path):
     election = str(fixture_path("random12.elec"))
     for problem, k in (("deletion", "7"), ("partition", "4")):

@@ -129,6 +129,16 @@ def test_argument_errors_are_input_errors():
             build()
 
 
+def test_vertex_sequence_must_not_be_a_string_or_a_scalar():
+    # a string would be split into one-character names
+    for implement in (implement_empty, implement_clique):
+        for bad in ("abc", 5, None):
+            with pytest.raises(ConstructionInputError,
+                               match=f"vertices: expected a sequence of names, got {bad!r}"):
+                implement(bad)
+        assert implement(iter(["a", "b", "c"])).election.candidates == ("a", "b", "c")
+
+
 @given(st.builds(random_permutation_diagram,
                  st.integers(min_value=1, max_value=20), seeds))
 @settings(max_examples=60, deadline=None)

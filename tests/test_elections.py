@@ -183,6 +183,11 @@ def test_election_validation():
             ("ab", ("ab",), "candidates: expected a sequence of names, got 'ab'"),
             (("a", "b"), ("ab", "ba"), "vote 1: expected a sequence of names, got 'ab'"),
             (("a", "b"), (("a", "b"), "ba"), "vote 2: expected a sequence of names, got 'ba'"),
+            # nor is anything that is not iterable
+            (("a",), (5,), "vote 1: expected a sequence of names, got 5"),
+            (("a",), (("a",), None), "vote 2: expected a sequence of names, got None"),
+            (5, (("a",),), "candidates: expected a sequence of names, got 5"),
+            (("a",), 5, "votes: expected a sequence of votes, got 5"),
             (("a", "a"), (("a", "a"),), "duplicate candidate name"),
             (abc, (abc, ("a", "x", "c")), "vote 2: unknown candidate 'x'"),
             (abc, (abc, ("a", "b", "a")), "vote 2: candidate 'a' listed twice")):

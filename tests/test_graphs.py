@@ -220,13 +220,40 @@ def test_known_comparability_verdicts():
 
 def test_orientation_is_verified_transitive():
     o = transitive_orientation(cycle_graph(6))
-    assert o.verified
+    assert o.verified and transitive_by_arcs(o)
+
+
+def transitive_by_arcs(o):
+    """The definition, one test per arc: succ(v) ⊆ succ(u) for each arc (u, v)."""
     succ = {v: set() for v in o.base.vertices}
     for u, v in o.arcs:
         succ[u].add(v)
-    for u in succ:
-        for v in succ[u]:
-            assert succ[v] <= succ[u] | {u}
+    return all(succ[v] <= succ[u] for u, v in o.arcs)
+
+
+@st.composite
+def orientations(draw, max_v=9):
+    """An orientation of a graph on at most `max_v` vertices: the one
+    `transitive_orientation` finds, that one with one arc reversed, or
+    arbitrary directions (cycles included)."""
+    kind = draw(st.sampled_from(["transitive", "one-reversed", "arbitrary"]))
+    if kind == "arbitrary":
+        g = draw(graphs(max_v))
+        flips = draw(st.lists(st.booleans(), min_size=len(g.edges), max_size=len(g.edges)))
+        return Orientation(g, [(b, a) if f else (a, b)
+                               for (a, b), f in zip(sorted(g.edges), flips)])
+    g = draw(comparability_graphs(max_v))
+    arcs = sorted(transitive_orientation(g).arcs)
+    if kind == "one-reversed" and arcs:
+        a, b = arcs.pop(draw(st.integers(min_value=0, max_value=len(arcs) - 1)))
+        arcs.append((b, a))
+    return Orientation(g, arcs)
+
+
+@given(orientations())
+@settings(max_examples=300, deadline=None)
+def test_verify_transitive_matches_the_per_arc_check(o):
+    assert o.verify_transitive() == o.verified == transitive_by_arcs(o)
 
 
 @given(graphs(max_v=8))
@@ -405,7 +432,7 @@ def test_matching_paths_longer_than_recursion_limit():
     gamma = multicrossing_graph(e)
     pos = e.positions(1)
     o = Orientation(gamma, [(a, b) if pos[a] < pos[b] else (b, a) for a, b in gamma.edges])
-    assert o.verify_transitive()
+    assert o.verify_transitive() and transitive_by_arcs(o)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(250)
     try:
