@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -45,6 +46,28 @@ def _vote_fault(vote, cset) -> str:
     return f"vote ranks {len(vote)} of {len(cset)} candidates"
 
 
+def _rank_matrix(votes, index):
+    """The read-only n x m matrix of each candidate's position in each vote,
+    in the narrowest unsigned dtype, or None when some vote is not a permutation
+    of the candidates in `index` (a name -> candidate index dict)."""
+    m, n = len(index), len(votes)
+    if any(len(vote) != m for vote in votes):
+        return None
+    try:
+        order = np.fromiter(map(index.__getitem__, chain.from_iterable(votes)), np.intp, m * n)
+    except (KeyError, TypeError):  # an unknown or unhashable name
+        return None
+    # scatter each vote's positions to its candidates; a candidate a vote
+    # misses (it repeats another) keeps the fill value m
+    ranks = np.full((n, m), m, np.min_scalar_type(m))
+    ranks[np.arange(n)[:, None], order.reshape(n, m)] = np.arange(m)
+    if ranks.max() == m:
+        return None
+    ranks = ranks.astype(np.min_scalar_type(m - 1), copy=False)
+    ranks.flags.writeable = False
+    return ranks
+
+
 @dataclass(frozen=True)
 class Election:
     """An ordered list of strict rankings over a fixed candidate set.
@@ -66,32 +89,32 @@ class Election:
             raise ElectionError(f"votes: expected a sequence of votes, got {votes!r}")
         votes = tuple(votes)
         for i, vote in enumerate(votes, 1):
-            if isinstance(vote, str):
+            if isinstance(vote, str) or not _iterable(vote):
                 raise _RowError(i, f"expected a sequence of names, got {vote!r}")
         # stored as tuples, so an election built from lists hashes and equals its parsed copy
         object.__setattr__(self, "candidates", tuple(candidates))
-        try:
-            object.__setattr__(self, "votes", tuple(map(tuple, votes)))
-        except TypeError:  # name the first vote that is not iterable
-            for i, vote in enumerate(votes, 1):
-                if not _iterable(vote):
-                    raise _RowError(i, f"expected a sequence of names, got {vote!r}") from None
-            raise
+        object.__setattr__(self, "votes", tuple(map(tuple, votes)))
         if not self.candidates:
             raise ElectionError("election needs at least one candidate")
         if not self.votes:
             raise ElectionError("election needs at least one vote")
         _check_names(self.candidates, ElectionError, ">")
-        cset = set(self.candidates)
-        if len(cset) != len(self.candidates):
+        index = {c: i for i, c in enumerate(self.candidates)}
+        if len(index) != len(self.candidates):
             raise _RowError(0, "duplicate candidate name")
-        for i, vote in enumerate(self.votes, 1):
-            try:
-                valid = len(vote) == len(cset) and set(vote) == cset
-            except TypeError:  # an unhashable entry
-                valid = False
-            if not valid:
-                raise _RowError(i, _vote_fault(vote, cset))
+        ranks = _rank_matrix(self.votes, index)
+        if ranks is None:  # name the first faulty vote
+            cset = index.keys()
+            for i, vote in enumerate(self.votes, 1):
+                try:
+                    valid = len(vote) == len(cset) and set(vote) == cset
+                except TypeError:  # an unhashable entry
+                    valid = False
+                if not valid:
+                    raise _RowError(i, _vote_fault(vote, cset))
+        # ranks[v, c] is candidate c's position in vote v + 1; not a field, so
+        # ==, hash and repr see only the candidates and votes
+        object.__setattr__(self, "_ranks", ranks)
 
     @property
     def m(self) -> int:
@@ -216,11 +239,7 @@ def _crossing_blocks(e: Election):
     within _BLOCK_COMPARISONS, so a scan that stops early has done
     little work, and working memory is O(n * m) plus one block.
     """
-    m, n = e.m, e.n
-    idx = {c: i for i, c in enumerate(e.candidates)}
-    ballots = np.fromiter((idx[c] for vote in e.votes for c in vote), np.intp, m * n)
-    # pos[voter][candidate] = rank, in the narrowest dtype that holds m - 1
-    pos = np.argsort(ballots.reshape(n, m), axis=1).astype(np.min_scalar_type(m - 1))
+    m, n, pos = e.m, e.n, e._ranks
     a, rows = 0, 1
     while a < m - 1:
         rows = max(1, min(rows, _BLOCK_COMPARISONS // (n * (m - 1 - a))))

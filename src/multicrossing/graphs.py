@@ -197,7 +197,7 @@ def _edge_lines(g: UndirectedGraph) -> str:
     left, right = _name_order_edges(g)
     if not left.size:
         return ""
-    names = [vs[j] for j in right.tolist()]
+    names = np.array(vs, dtype=object)[right].tolist()
     cuts = [0, *(np.flatnonzero(left[1:] != left[:-1]) + 1).tolist(), len(names)]
     out = []
     for lo, hi in zip(cuts, cuts[1:]):

@@ -1,6 +1,7 @@
 """Election parsing, crossing sequences and the multi-crossing graph."""
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -73,11 +74,8 @@ def test_parse_error_reports_line_number():
         parse_election("2 2\na b\na>b\nb>b")
 
 
-@given(st.builds(random_election, st.integers(2, 6), st.integers(1, 5),
-                 st.integers(min_value=0, max_value=2**32 - 1)), st.data())
-def test_vote_fault_names_its_file_line(e, data):
-    # corrupt vote v, then put comment and blank lines somewhere before it
-    v = data.draw(st.integers(1, e.n))
+def _corrupt(e, v, data):
+    """Vote v of e with one drawn fault, and the message that names it."""
     vote = list(e.votes[v - 1])
     j = data.draw(st.integers(1, e.m - 1))
     kind = data.draw(st.sampled_from(["unknown", "repeated", "dropped"]))
@@ -89,18 +87,32 @@ def test_vote_fault_names_its_file_line(e, data):
     else:
         del vote[j]
         fault = f"vote ranks {e.m - 1} of {e.m} candidates"
-    votes = e.votes[:v - 1] + (tuple(vote),) + e.votes[v:]
+    return vote, fault
+
+
+@given(st.builds(random_election, st.integers(2, 6), st.integers(1, 5),
+                 st.integers(min_value=0, max_value=2**32 - 1)), st.data())
+def test_vote_fault_names_its_file_line(e, data):
+    # corrupt vote v, and maybe a second vote w; the earlier one is named
+    v, w = data.draw(st.integers(1, e.n)), data.draw(st.integers(1, e.n))
+    faulty = {u: _corrupt(e, u, data) for u in {v, w}}
+    first = min(faulty)
+    fault = faulty[first][1]
+    votes = tuple(tuple(faulty[u][0]) if u in faulty else vote
+                  for u, vote in enumerate(e.votes, 1))
     lines = emit_election(e).splitlines()
-    lines[v + 1] = ">".join(vote)
+    for u, (vote, _) in faulty.items():
+        lines[u + 1] = ">".join(vote)
+    # then put comment and blank lines somewhere before the first faulty vote
     fillers = data.draw(st.lists(st.sampled_from(["", "  ", "# note", "  # a>b"]), max_size=4))
-    at = data.draw(st.integers(0, v + 1))
+    at = data.draw(st.integers(0, first + 1))
     lines[at:at] = fillers
     with pytest.raises(ElectionParseError) as info:
         parse_election("\n".join(lines))
-    assert str(info.value) == f"line {v + 2 + len(fillers)}: {fault}"
+    assert str(info.value) == f"line {first + 2 + len(fillers)}: {fault}"
     with pytest.raises(ElectionError) as info:
         Election(e.candidates, votes)
-    assert str(info.value) == f"vote {v}: {fault}"
+    assert str(info.value) == f"vote {first}: {fault}"
 
 
 def test_comments_and_blank_lines_ignored():
@@ -186,14 +198,39 @@ def test_election_validation():
             # nor is anything that is not iterable
             (("a",), (5,), "vote 1: expected a sequence of names, got 5"),
             (("a",), (("a",), None), "vote 2: expected a sequence of names, got None"),
+            # the first faulty vote is named, whichever of these faults it has
+            (("a",), (5, "ab"), "vote 1: expected a sequence of names, got 5"),
+            (("a",), ("ab", 5), "vote 1: expected a sequence of names, got 'ab'"),
             (5, (("a",),), "candidates: expected a sequence of names, got 5"),
             (("a",), 5, "votes: expected a sequence of votes, got 5"),
             (("a", "a"), (("a", "a"),), "duplicate candidate name"),
             (abc, (abc, ("a", "x", "c")), "vote 2: unknown candidate 'x'"),
-            (abc, (abc, ("a", "b", "a")), "vote 2: candidate 'a' listed twice")):
+            (abc, (abc, ("a", "b", "a")), "vote 2: candidate 'a' listed twice"),
+            # votes of the wrong lengths whose names number m * n all the same
+            (("a", "b"), (("a",), ("b", "a", "b")), "vote 1: vote ranks 1 of 2 candidates"),
+            # an unhashable or a repeated name in a vote of the right length
+            (("a", "b"), (("b", "a"), ("a", {"b"})), "vote 2: unknown candidate {'b'}"),
+            (abc, (("c", "c", "a"), abc), "vote 1: candidate 'c' listed twice")):
         with pytest.raises(ElectionError) as info:
             Election(candidates, votes)
         assert str(info.value) == message
+
+
+@given(elections())
+def test_rank_matrix(e):
+    ranks = e._ranks
+    assert ranks.dtype == np.min_scalar_type(e.m - 1)
+    assert ranks.tolist() == [[vote.index(c) for c in e.candidates] for vote in e.votes]
+    for a, b in combinations(range(e.m), 2):
+        signs = crossing_sequence(e, e.candidates[a], e.candidates[b]).signs
+        assert (ranks[:, a] < ranks[:, b]).tolist() == list(signs)
+    with pytest.raises(ValueError):
+        ranks[0, 0] = 0
+    # the matrix is no field: a copy built from lists equals and hashes like the parsed one
+    listed = Election(list(e.candidates), [list(vote) for vote in e.votes])
+    parsed = parse_election(emit_election(e))
+    assert listed == parsed and hash(listed) == hash(parsed) and repr(listed) == repr(parsed)
+    assert np.array_equal(listed._ranks, parsed._ranks)
 
 
 def test_crossing_sequence_table_fixture(fixture_text):
