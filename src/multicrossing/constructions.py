@@ -14,6 +14,7 @@ from .graphs import (
     UndirectedGraph,
     _later,
     _linear_order,
+    _sequence,
 )
 
 
@@ -66,27 +67,15 @@ def cycle_graph(s: int) -> UndirectedGraph:
     return UndirectedGraph(names, edges)
 
 
-def _vertex_tuple(vertices) -> tuple:
-    """`vertices` as a tuple. A string is refused, not split into
-    one-character names, and so is anything that is not iterable."""
-    error = ConstructionInputError(f"vertices: expected a sequence of names, got {vertices!r}")
-    if isinstance(vertices, str):
-        raise error
-    try:
-        return tuple(vertices)
-    except TypeError:
-        raise error from None
-
-
 def implement_empty(vertices) -> ImplementationResult:
     """Three identical voters: nothing ever crosses."""
-    vs = _vertex_tuple(vertices)
+    vs = _sequence(vertices, ConstructionInputError, "vertices")
     return implement_permutation_graph(PermutationDiagram(vs, vs))
 
 
 def implement_clique(vertices) -> ImplementationResult:
     """First and third voters agree, the second ranks in reverse."""
-    vs = _vertex_tuple(vertices)
+    vs = _sequence(vertices, ConstructionInputError, "vertices")
     return implement_permutation_graph(PermutationDiagram(vs, vs[::-1]))
 
 

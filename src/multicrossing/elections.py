@@ -6,7 +6,14 @@ from itertools import chain
 
 import numpy as np
 
-from .graphs import UndirectedGraph, _check_names, _content_lines, vertex_pair
+from .graphs import (
+    UndirectedGraph,
+    _check_names,
+    _content_lines,
+    _pack_rows,
+    _sequence,
+    vertex_pair,
+)
 
 
 class ElectionError(ValueError):
@@ -26,16 +33,8 @@ class _RowError(ElectionError):
         return f"vote {row}: {fault}" if row else fault
 
 
-def _iterable(x) -> bool:
-    try:
-        iter(x)
-    except TypeError:
-        return False
-    return True
-
-
-def _vote_fault(vote, cset) -> str:
-    """The first fault of a vote that is not a permutation of `cset`."""
+def _vote_fault(vote, cset) -> str | None:
+    """The first fault of a vote, or None when it is a permutation of `cset`."""
     seen = set()
     for c in vote:
         if not isinstance(c, str) or c not in cset:  # a non-str may be unhashable
@@ -43,7 +42,7 @@ def _vote_fault(vote, cset) -> str:
         if c in seen:
             return f"candidate {c!r} listed twice"
         seen.add(c)
-    return f"vote ranks {len(vote)} of {len(cset)} candidates"
+    return None if len(vote) == len(cset) else f"vote ranks {len(vote)} of {len(cset)} candidates"
 
 
 def _rank_matrix(votes, index):
@@ -80,20 +79,12 @@ class Election:
     votes: tuple[tuple[str, ...], ...]
 
     def __post_init__(self):
-        candidates, votes = self.candidates, self.votes
-        # a string is a sequence of names too, of one-character names: refuse it,
-        # and anything that is not iterable at all
-        if isinstance(candidates, str) or not _iterable(candidates):
-            raise ElectionError(f"candidates: expected a sequence of names, got {candidates!r}")
-        if not _iterable(votes):
-            raise ElectionError(f"votes: expected a sequence of votes, got {votes!r}")
-        votes = tuple(votes)
-        for i, vote in enumerate(votes, 1):
-            if isinstance(vote, str) or not _iterable(vote):
-                raise _RowError(i, f"expected a sequence of names, got {vote!r}")
-        # stored as tuples, so an election built from lists hashes and equals its parsed copy
-        object.__setattr__(self, "candidates", tuple(candidates))
-        object.__setattr__(self, "votes", tuple(map(tuple, votes)))
+        # tuples, so an election built from lists hashes and equals its parsed copy
+        candidates = _sequence(self.candidates, ElectionError, "candidates")
+        votes = _sequence(self.votes, ElectionError, "votes", items="votes")
+        object.__setattr__(self, "candidates", candidates)
+        object.__setattr__(self, "votes", tuple(
+            _sequence(vote, ElectionError, "vote", i) for i, vote in enumerate(votes, 1)))
         if not self.candidates:
             raise ElectionError("election needs at least one candidate")
         if not self.votes:
@@ -104,14 +95,10 @@ class Election:
             raise _RowError(0, "duplicate candidate name")
         ranks = _rank_matrix(self.votes, index)
         if ranks is None:  # name the first faulty vote
-            cset = index.keys()
             for i, vote in enumerate(self.votes, 1):
-                try:
-                    valid = len(vote) == len(cset) and set(vote) == cset
-                except TypeError:  # an unhashable entry
-                    valid = False
-                if not valid:
-                    raise _RowError(i, _vote_fault(vote, cset))
+                fault = _vote_fault(vote, index)
+                if fault:
+                    raise _RowError(i, fault)
         # ranks[v, c] is candidate c's position in vote v + 1; not a field, so
         # ==, hash and repr see only the candidates and votes
         object.__setattr__(self, "_ranks", ranks)
@@ -204,7 +191,7 @@ def emit_election(e: Election) -> str:
 
 def restrict(e: Election, keep) -> Election:
     """Restriction to a candidate subset, preserving each vote's order."""
-    kset = set(keep)
+    kset = set(_sequence(keep, ElectionError, "restriction"))
     if not kset:
         raise ElectionError("restriction to an empty candidate set")
     unknown = kset - set(e.candidates)
@@ -278,6 +265,4 @@ def multicrossing_graph(e: Election) -> UndirectedGraph:
     for a, flips in _crossing_blocks(e):
         multi[a:a + flips.shape[1], a + 1:] = flips.sum(axis=0, dtype=np.int32) >= 2
     multi |= multi.T  # the blocks' lower-triangle entries are true values too
-    packed = np.packbits(multi, axis=1, bitorder="little")
-    adj = [int.from_bytes(row.tobytes(), "little") for row in packed]
-    return UndirectedGraph._from_masks(e.candidates, adj)
+    return UndirectedGraph._from_masks(e.candidates, _pack_rows(multi))

@@ -23,6 +23,19 @@ def vertex_pair(a: str, b: str) -> tuple[str, str]:
     return (a, b) if a < b else (b, a)
 
 
+def _sequence(x, error, what, row=None, items="names") -> tuple:
+    """`x` as a tuple, or `error` naming `what` (and `row`): a str is
+    refused rather than split into one-character names, and so is anything
+    that is not iterable. The message is built only on failure."""
+    if not isinstance(x, str):
+        try:
+            return tuple(x)
+        except TypeError:
+            pass
+    where = what if row is None else f"{what} {row}"
+    raise error(f"{where}: expected a sequence of {items}, got {x!r}")
+
+
 def _check_names(names, error, forbidden=""):
     """Raise `error` for a name the text formats cannot read back: not a
     non-empty string without whitespace, starting with "#" (the comment
@@ -64,6 +77,32 @@ def _later(order, index) -> list[int]:
     return later
 
 
+def _pack_rows(bits) -> list[int]:
+    """Row masks of a square 0/1 matrix, bit j of mask i being bits[i, j]. It
+    and its inverse `_unpack_rows` alone know how masks are laid out in bytes."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+def _unpack_rows(masks) -> np.ndarray:
+    """The square 0/1 matrix whose row i holds the bits of masks[i]."""
+    size = len(masks)
+    width = (size + 7) // 8
+    packed = np.frombuffer(b"".join(mask.to_bytes(width, "little") for mask in masks), np.uint8)
+    return np.unpackbits(packed.reshape(size, width), axis=1, count=size, bitorder="little")
+
+
+def _bit_pairs(masks, names=None, upper=False):
+    """Index arrays (i, j) of the set bits j of each masks[i], the one walk
+    that reads pairs out of masks. Rows, and the bits of a row, come in
+    index order, or in the order of their `names`; with `upper` only the
+    bits j after i are read (each edge of symmetric masks once)."""
+    order = np.array(sorted(range(len(masks)), key=None if names is None else names.__getitem__))
+    bits = _unpack_rows(masks)[np.ix_(order, order)]
+    rows, cols = np.nonzero(np.triu(bits, 1) if upper else bits)
+    return order[rows], order[cols]
+
+
 class UndirectedGraph:
     """Simple undirected graph with named vertices.
 
@@ -75,7 +114,7 @@ class UndirectedGraph:
     """
 
     def __init__(self, vertices, edges=()):
-        self.vertices: tuple[str, ...] = tuple(vertices)
+        self.vertices: tuple[str, ...] = _sequence(vertices, GraphError, "vertices")
         if not self.vertices:
             raise GraphError("graph needs at least one vertex")
         _check_names(self.vertices, GraphError)
@@ -83,7 +122,7 @@ class UndirectedGraph:
         if len(self.index) != len(self.vertices):
             raise GraphError("duplicate vertex name")
         adj = [0] * len(self.vertices)
-        for u, v in edges:
+        for u, v in _sequence(edges, GraphError, "edges", items="pairs"):
             if u == v:
                 raise GraphError(f"self-loop at {u!r}")
             i, j = self.index.get(u), self.index.get(v)
@@ -104,19 +143,11 @@ class UndirectedGraph:
         g.adj = tuple(adj)
         return g
 
-    def _pairs(self) -> list[tuple[str, str]]:
-        """Name-sorted edge pairs in vertex-index order (i < j)."""
-        vs, out = self.vertices, []
-        for i, mask in enumerate(self.adj):
-            a = vs[i]
-            for j in _bits(mask >> (i + 1)):
-                b = vs[i + 1 + j]
-                out.append((a, b) if a < b else (b, a))
-        return out
-
     @cached_property
     def edges(self) -> frozenset[tuple[str, str]]:
-        return frozenset(self._pairs())
+        vs = self.vertices
+        left, right = (side.tolist() for side in _bit_pairs(self.adj, vs, upper=True))
+        return frozenset(zip(map(vs.__getitem__, left), map(vs.__getitem__, right)))
 
     def __eq__(self, other):
         if not isinstance(other, UndirectedGraph):
@@ -176,25 +207,11 @@ def parse_graph(text: str) -> UndirectedGraph:
         raise GraphParseError(str(exc)) from None
 
 
-def _name_order_edges(g: UndirectedGraph):
-    """Index arrays (i, j) of the edges in name order, as `sorted(g.edges)`
-    lists them: each vertex in name order, with its neighbours of higher
-    name sorted by name."""
-    vs = g.vertices
-    size = len(vs)
-    order = np.array(sorted(range(size), key=vs.__getitem__))
-    width = (size + 7) // 8
-    packed = np.frombuffer(b"".join(mask.to_bytes(width, "little") for mask in g.adj), np.uint8)
-    bits = np.unpackbits(packed.reshape(size, width), axis=1, count=size, bitorder="little")
-    rows, cols = np.nonzero(np.triu(bits[np.ix_(order, order)], 1))
-    return order[rows], order[cols]
-
-
 def _edge_lines(g: UndirectedGraph) -> str:
     """The lines "u v" of the edges in name order, each ending in a newline:
     one join per vertex over its higher-named neighbours."""
     vs = g.vertices
-    left, right = _name_order_edges(g)
+    left, right = _bit_pairs(g.adj, vs, upper=True)
     if not left.size:
         return ""
     names = np.array(vs, dtype=object)[right].tolist()
@@ -215,10 +232,14 @@ def emit_dot(g: UndirectedGraph) -> str:
     """Deterministic DOT output: vertices in order, then each edge as its
     name-sorted pair, in vertex-index order (i < j). Each name is a quoted
     ID with its '"' written as '\\"', the one escape DOT defines."""
-    quoted = {v: '"' + v.replace('"', '\\"') + '"' for v in g.vertices}
+    vs = g.vertices
+    quoted = ['"' + v.replace('"', '\\"') + '"' for v in vs]
     out = ["graph G {"]
-    out.extend(f"  {quoted[v]};" for v in g.vertices)
-    out.extend(f"  {quoted[u]} -- {quoted[v]};" for u, v in g._pairs())
+    out.extend(f"  {q};" for q in quoted)
+    for i, j in zip(*(side.tolist() for side in _bit_pairs(g.adj, upper=True))):
+        if vs[j] < vs[i]:
+            i, j = j, i
+        out.append(f"  {quoted[i]} -- {quoted[j]};")
     out.append("}")
     return "\n".join(out) + "\n"
 
@@ -237,7 +258,8 @@ class Orientation:
         index, adj = base.index, base.adj
         succ = [0] * len(adj)
         error = GraphError("orientation must direct each base edge exactly once")
-        for a, b in arcs:  # an arc given twice is one arc
+        # an arc given twice is one arc
+        for a, b in _sequence(arcs, GraphError, "arcs", items="pairs"):
             i, j = index.get(a), index.get(b)
             if i is None or j is None or not adj[i] >> j & 1 or succ[j] >> i & 1:
                 raise error
@@ -256,7 +278,8 @@ class Orientation:
     @cached_property
     def arcs(self) -> frozenset[tuple[str, str]]:
         vs = self.base.vertices
-        return frozenset((vs[i], vs[j]) for i, mask in enumerate(self.succ) for j in _bits(mask))
+        tails, heads = (side.tolist() for side in _bit_pairs(self.succ))
+        return frozenset(zip(map(vs.__getitem__, tails), map(vs.__getitem__, heads)))
 
     @property
     def verified(self) -> bool:
@@ -298,8 +321,9 @@ class PermutationDiagram:
     pi2: tuple[str, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "pi1", tuple(self.pi1))  # lists would break == and hash
-        object.__setattr__(self, "pi2", tuple(self.pi2))
+        # tuples, since lists would break == and hash
+        object.__setattr__(self, "pi1", _sequence(self.pi1, GraphError, "pi1"))
+        object.__setattr__(self, "pi2", _sequence(self.pi2, GraphError, "pi2"))
         n = len(self.pi1)
         if set(self.pi1) != set(self.pi2) or len(set(self.pi1)) != n or len(self.pi2) != n:
             raise GraphError("pi1 and pi2 must be permutations of the same vertex set")
@@ -351,7 +375,7 @@ def transitive_orientation(g: UndirectedGraph) -> Orientation | None:
     """
     rem = list(g.adj)  # adjacency of the edges not yet oriented
     succ = [0] * len(rem)
-    for i, j in zip(*(side.tolist() for side in _name_order_edges(g))):
+    for i, j in zip(*(side.tolist() for side in _bit_pairs(g.adj, g.vertices, upper=True))):
         if not rem[i] >> j & 1:
             continue  # oriented with an earlier class
         forced = _force_class(i, j, rem)
@@ -678,7 +702,6 @@ def exact_coloring(g: UndirectedGraph, k: int, budget=DEFAULT_BUDGET) -> SolveRe
     if clique.bit_count() > k:
         return SolveReport("infeasible", None, 0)
     k = min(k, len(adj))  # no vertex ever opens a color beyond the vertex count
-    members = [0] * (k + 1)  # members[c]: bitmask of the vertices colored c
     seen = [0] * (k + 1)  # seen[c]: bitmask of the vertices adjacent to color c
     # per colored vertex: (vertex, color, colors used before, seen[color] before)
     stack: list[tuple[int, int, int, int]] = []
@@ -715,7 +738,6 @@ def exact_coloring(g: UndirectedGraph, k: int, budget=DEFAULT_BUDGET) -> SolveRe
             c += 1
         if c <= top:
             stack.append((v, c, used, seen[c]))
-            members[c] |= 1 << v
             seen[c] |= adj[v]
             uncolored ^= 1 << v
             if c > used:
@@ -724,9 +746,9 @@ def exact_coloring(g: UndirectedGraph, k: int, budget=DEFAULT_BUDGET) -> SolveRe
         elif stack:
             v, c, used, before = stack.pop()
             seen[c] = before
-            members[c] ^= 1 << v
             uncolored |= 1 << v
         else:
             return SolveReport("infeasible", None, nodes)
-    witness = {g.vertices[v]: c for c, mask in enumerate(members) for v in _bits(mask)}
+    # every vertex is colored, so the stack holds one entry per vertex
+    witness = {g.vertices[v]: c for v, c, _, _ in stack}
     return SolveReport("found", witness, nodes)

@@ -370,6 +370,14 @@ def test_restriction_single_crossing_iff_independent(e, data):
     assert is_single_crossing(sub)[0] == independent
 
 
+def test_restrict_refuses_a_string():
+    e = parse_election("3 1\na b c\nc>b>a")
+    for bad in ("ab", 5):
+        with pytest.raises(ElectionError) as info:
+            restrict(e, bad)
+        assert str(info.value) == f"restriction: expected a sequence of names, got {bad!r}"
+
+
 def test_restrict_preserves_order():
     e = parse_election("3 2\na b c\nc>b>a\na>b>c")
     sub = restrict(e, ["c", "a"])

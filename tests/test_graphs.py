@@ -126,6 +126,23 @@ def test_generators_reject_probabilities_outside_unit_interval():
     assert not random_comparability_graph(5, 0, seed=1).edges
 
 
+def test_non_sequences_rejected():
+    # a string would be split into one-character names, a scalar is no sequence
+    for build, message in (
+            (lambda: UndirectedGraph(5), "vertices: expected a sequence of names, got 5"),
+            (lambda: UndirectedGraph("abc"), "vertices: expected a sequence of names, got 'abc'"),
+            (lambda: UndirectedGraph(["a", "b"], 5), "edges: expected a sequence of pairs, got 5"),
+            (lambda: PermutationDiagram(5, 5), "pi1: expected a sequence of names, got 5"),
+            (lambda: PermutationDiagram("abc", "cba"),
+             "pi1: expected a sequence of names, got 'abc'"),
+            (lambda: PermutationDiagram(["a"], "a"), "pi2: expected a sequence of names, got 'a'"),
+            (lambda: Orientation(path_graph(2), 5), "arcs: expected a sequence of pairs, got 5")):
+        with pytest.raises(GraphError) as info:
+            build()
+        assert str(info.value) == message
+    assert UndirectedGraph(iter("ab"), iter([("a", "b")])).edges == {("a", "b")}
+
+
 def test_edge_given_in_both_directions_rejected():
     for edges in ([("a", "b"), ("b", "a")], [("a", "b"), ("a", "b")]):
         with pytest.raises(GraphError, match="duplicate edge"):
@@ -172,7 +189,14 @@ def test_emitted_edges_are_the_sorted_pairs(spec, rng):
     rng.shuffle(vs)  # name order and vertex order differ
     g = UndirectedGraph(vs, edge_list)
     lines = emit_graph(g).splitlines()
-    assert lines[2:] == [f"{u} {v}" for u, v in sorted(g.edges)]
+    # `edges` and the writer share one walk of the masks: check against the input
+    assert lines[2:] == [f"{u} {v}" for u, v in sorted(tuple(sorted(e)) for e in edge_list)]
+
+
+def dot_pairs(out):
+    """The (u, v) of each "u" -- "v" line of DOT output with plain names."""
+    return [tuple(x.strip(' ";') for x in line.split("--")) for line in out.splitlines()
+            if "--" in line]
 
 
 @pytest.mark.parametrize("v", [1, 7, 8, 9, 63, 64, 65])
@@ -185,8 +209,17 @@ def test_emitted_edges_around_byte_boundaries(v):
     pairs = list(combinations(vs, 2))
     for edges in ([], pairs, [p for p in pairs if rng.random() < 0.3]):
         g = UndirectedGraph(vs, edges)
+        expected = sorted(tuple(sorted(e)) for e in edges)
+        assert g.edges == set(expected)
         assert emit_graph(g).splitlines() == [str(v), " ".join(vs)] + [
-            f"{a} {b}" for a, b in sorted(g.edges)]
+            f"{a} {b}" for a, b in expected]
+        # DOT: each edge as its name-sorted pair, in vertex-index order (i < j)
+        assert dot_pairs(emit_dot(g)) == [
+            tuple(sorted((vs[i], vs[j]))) for i in range(v) for j in range(i + 1, v)
+            if g.has_edge(vs[i], vs[j])]
+        o = Orientation(g, [(b, a) if rng.random() < 0.5 else (a, b) for a, b in edges])
+        assert o.arcs == {(vs[i], vs[j]) for i in range(v) for j in range(v)
+                          if o.succ[i] >> j & 1}
 
 
 @given(graphs(max_v=5))
