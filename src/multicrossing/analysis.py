@@ -13,7 +13,6 @@ from .constructions import implement_general
 from .elections import Election, multicrossing_graph
 from .graphs import (
     DEFAULT_BUDGET,
-    GraphError,
     Orientation,
     UndirectedGraph,
     _antichain,
@@ -74,30 +73,35 @@ def _vote1_orientation(e: Election, gamma: UndirectedGraph) -> Orientation:
     below = _later(e.votes[0], gamma.index)  # the candidates the first voter ranks below
     o = Orientation._from_masks(gamma, [a & b for a, b in zip(gamma.adj, below)])
     if not o.verify_transitive():
-        raise GraphError("vote-1 orientation of a <=3-voter election not transitive")
+        raise RuntimeError("vote-1 orientation of a <=3-voter election not transitive")
     return o
 
 
-def _lexmin_max_independent_set(gamma: UndirectedGraph, witness: int,
-                                holds) -> tuple[str, ...] | None:
+def _lexmin_max_independent_set(gamma: UndirectedGraph, search,
+                                budget: int) -> tuple[tuple[str, ...], bool, int]:
     """Lexicographically smallest (by candidate name) maximum independent set.
 
-    Greedy over sorted names; a candidate joins when some maximum set
-    extends the current choice using only later, compatible candidates.
-    `witness` is the vertex mask of a maximum independent set. Its members
-    not yet visited always extend the current choice to a maximum set, so
-    a candidate in it joins with no search. For any other candidate
-    `holds(pool, need)` searches the vertex mask `pool` for `need` (>= 1)
-    independent candidates: it returns the mask of those it found, which
-    becomes the witness, False, or None when that is unknown (the search
-    ran out of budget); the refinement then returns None.
+    `search(pool, need, budget)` looks in the vertex mask `pool` for
+    `need` independent vertices (None: as many as there can be) in at most
+    `budget` nodes. It returns (mask, complete, nodes), and complete is
+    False when the budget ran out. The search of all the vertices gives
+    the size and the first witness: the mask of a maximum set whose members
+    not yet visited extend the current choice. Greedy over sorted names, a
+    candidate in the witness joins with no search. Any other one joins when
+    a search of the later, compatible candidates finds `need` (>= 1) of
+    them, and that find becomes the witness. Each search draws on what the
+    earlier ones left of `budget`. Returns (kept, complete, nodes); after
+    an incomplete search, kept is the first search's set in name order.
     """
     vs, adj = gamma.vertices, gamma.adj
-    size = witness.bit_count()
     later = (1 << len(vs)) - 1  # candidates not yet considered
+    first, complete, nodes = search(later, None, budget)
+    size, witness = first.bit_count(), first
     blocked = 0  # neighbours of the chosen candidates
     chosen: list[str] = []
     for c in sorted(range(len(vs)), key=vs.__getitem__):
+        if not complete or len(chosen) == size:
+            break
         bit = 1 << c
         later ^= bit
         if blocked & bit:
@@ -107,19 +111,18 @@ def _lexmin_max_independent_set(gamma: UndirectedGraph, witness: int,
             pool = later & ~(blocked | adj[c])
             if pool.bit_count() < need:
                 continue
-            found = holds(pool, need)
-            if found is None:
-                return None
-            if found is False:
+            found, complete, used = search(pool, need, budget - nodes)
+            nodes += used
+            if found.bit_count() < need:
                 continue
             witness = found
         chosen.append(vs[c])
         blocked |= adj[c]
-        if len(chosen) == size:
-            break
+    if not complete:
+        return tuple(sorted(vs[i] for i in _bits(first))), False, nodes
     if len(chosen) != size:
-        raise GraphError("lexmin refinement failed to reach the maximum size")
-    return tuple(chosen)
+        raise RuntimeError("lexmin refinement failed to reach the maximum size")
+    return tuple(chosen), True, nodes
 
 
 def candidate_deletion(e: Election, k: int, budget: int = DEFAULT_BUDGET) -> AnalysisResult:
@@ -137,33 +140,19 @@ def candidate_deletion(e: Election, k: int, budget: int = DEFAULT_BUDGET) -> Ana
         raise AnalysisInputError("node budget must be >= 0")
     gamma = multicrossing_graph(e)
     if e.n <= 3:
+        method = "three-voter-poly"
         o = _vote1_orientation(e, gamma)
-        full = (1 << e.m) - 1
-        start, _ = _kuhn_matching(o.succ, full)  # each probe resumes from its pairs in the pool
+        # a maximum matching of the whole poset: each search resumes from its pairs in the pool
+        start, _ = _kuhn_matching(o.succ, (1 << e.m) - 1)
 
-        def holds(pool: int, need: int) -> int | bool:
-            found = _antichain(o, pool, start)
-            return found if found.bit_count() >= need else False
-
-        kept = _lexmin_max_independent_set(gamma, _antichain(o, full, start), holds)
-        method, complete, nodes = "three-voter-poly", True, 0
+        def search(pool: int, need: int | None, budget: int) -> tuple[int, bool, int]:
+            return _antichain(o, pool, start), True, 0  # a maximum antichain, at no node
     else:
-        best, complete, nodes = _mis_search(gamma.adj, budget)
-        kept = tuple(sorted(gamma.vertices[i] for i in _bits(best)))
-
-        def holds(pool: int, need: int) -> int | bool | None:
-            nonlocal nodes  # every probe draws on what the solve left of the budget
-            found, done, used = _mis_search(gamma.adj, budget - nodes, stop_at=need, within=pool)
-            nodes += used
-            if found.bit_count() >= need:
-                return found
-            return False if done else None
-
-        if complete:  # a probe out of budget leaves the sorted maximum set
-            lexmin = _lexmin_max_independent_set(gamma, best, holds)
-            complete = lexmin is not None
-            kept = lexmin or kept
         method = "general-exact"
+
+        def search(pool: int, need: int | None, budget: int) -> tuple[int, bool, int]:
+            return _mis_search(gamma.adj, budget, stop_at=need, within=pool)
+    kept, complete, nodes = _lexmin_max_independent_set(gamma, search, budget)
     return AnalysisResult(
         kind="deletion", feasible=len(kept) >= e.m - k, budget_exceeded=not complete,
         method=method, nodes_explored=nodes, kept=kept,

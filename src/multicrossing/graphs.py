@@ -36,6 +36,13 @@ def _sequence(x, error, what, row=None, items="names") -> tuple:
     raise error(f"{where}: expected a sequence of {items}, got {x!r}")
 
 
+def _not_a_pair(what, pairs, pair) -> GraphError:
+    """The refusal of `pair`, the first item of `pairs` (edges or arcs)
+    that is not a pair of names; the row is looked up only on failure."""
+    row = next(n for n, item in enumerate(pairs, 1) if item is pair)
+    return GraphError(f"{what} {row}: expected a pair of names, got {pair!r}")
+
+
 def _check_names(names, error, forbidden=""):
     """Raise `error` for a name the text formats cannot read back: not a
     non-empty string without whitespace, starting with "#" (the comment
@@ -122,7 +129,12 @@ class UndirectedGraph:
         if len(self.index) != len(self.vertices):
             raise GraphError("duplicate vertex name")
         adj = [0] * len(self.vertices)
-        for u, v in _sequence(edges, GraphError, "edges", items="pairs"):
+        pairs = _sequence(edges, GraphError, "edges", items="pairs")
+        for pair in pairs:
+            try:
+                u, v = () if isinstance(pair, str) else pair  # a str is no pair
+            except (TypeError, ValueError):
+                raise _not_a_pair("edge", pairs, pair) from None
             if u == v:
                 raise GraphError(f"self-loop at {u!r}")
             i, j = self.index.get(u), self.index.get(v)
@@ -259,7 +271,12 @@ class Orientation:
         succ = [0] * len(adj)
         error = GraphError("orientation must direct each base edge exactly once")
         # an arc given twice is one arc
-        for a, b in _sequence(arcs, GraphError, "arcs", items="pairs"):
+        pairs = _sequence(arcs, GraphError, "arcs", items="pairs")
+        for pair in pairs:
+            try:
+                a, b = () if isinstance(pair, str) else pair  # a str is no pair
+            except (TypeError, ValueError):
+                raise _not_a_pair("arc", pairs, pair) from None
             i, j = index.get(a), index.get(b)
             if i is None or j is None or not adj[i] >> j & 1 or succ[j] >> i & 1:
                 raise error
@@ -499,10 +516,10 @@ def _antichain(o: Orientation, within: int, start: dict[int, int] | None = None)
     z_left |= sum(1 << match_r[v] for v in _bits(z_right))  # and those reached
     antichain = z_left & ~z_right
     if antichain.bit_count() != within.bit_count() - len(match_r):
-        raise GraphError("Koenig construction produced an inconsistent antichain")
+        raise RuntimeError("Koenig construction produced an inconsistent antichain")
     adj = o.base.adj
     if any(adj[v] & antichain for v in _bits(antichain)):
-        raise GraphError("antichain is not independent in the base graph")
+        raise RuntimeError("antichain is not independent in the base graph")
     return antichain
 
 
@@ -528,9 +545,9 @@ def minimum_chain_cover(o: Orientation) -> list[list[str]]:
                 chain.append(nxt[chain[-1]])
             chains.append(chain)
     if sorted(v for chain in chains for v in chain) != list(range(n)):
-        raise GraphError("chain cover does not partition the vertex set")
+        raise RuntimeError("chain cover does not partition the vertex set")
     if any(not succ[a] >> b & 1 for chain in chains for a, b in zip(chain, chain[1:])):
-        raise GraphError("chain cover contains a non-chain")
+        raise RuntimeError("chain cover contains a non-chain")
     vs = o.base.vertices
     return [[vs[v] for v in chain] for chain in chains]
 
@@ -584,7 +601,7 @@ def _odd_cycle(u, v, parent):
     lca = path_v[-1]
     cycle = anc_u[: on_u[lca] + 1] + list(reversed(path_v[:-1]))
     if len(cycle) % 2 == 0:
-        raise GraphError("internal error: even witness cycle")
+        raise RuntimeError("even witness cycle")
     return cycle
 
 

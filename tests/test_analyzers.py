@@ -20,14 +20,14 @@ from multicrossing import (
     maximum_independent_set,
 )
 from multicrossing import bruteforce as bf
-from multicrossing.analysis import _lexmin_max_independent_set
+from multicrossing.analysis import _lexmin_max_independent_set, _vote1_orientation
 from multicrossing.constructions import (
     implement_clique,
     implement_even_cycle,
     implement_tree,
     path_graph,
 )
-from multicrossing.graphs import DEFAULT_BUDGET, _mis_search
+from multicrossing.graphs import DEFAULT_BUDGET, _antichain, _kuhn_matching, _mis_search
 from multicrossing.generate import random_election, random_graph, random_tree
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -170,18 +170,19 @@ def test_deletion_budget_covers_the_refinement():
     assert candidate_deletion(e, k, budget=full.nodes_explored - 1).budget_exceeded
 
 
-def counting_holds(gamma):
-    """A `holds` for the refinement that answers by exact search and logs
-    each call's (pool, need)."""
+def counting_search(gamma, witness=None):
+    """A `search` for the refinement that answers by exact search and logs
+    each probe's (pool, need); the full-pool call returns `witness`, if given."""
     calls = []
 
-    def holds(pool, need):
-        calls.append((pool, need))
-        found, done, _ = _mis_search(gamma.adj, DEFAULT_BUDGET, stop_at=need, within=pool)
-        assert done
-        return found if found.bit_count() >= need else False
+    def search(pool, need, budget):
+        if need is None and witness is not None:
+            return witness, True, 0
+        if need is not None:
+            calls.append((pool, need))
+        return _mis_search(gamma.adj, budget, stop_at=need, within=pool)
 
-    return holds, calls
+    return search, calls
 
 
 def test_refinement_skips_the_witness_members():
@@ -190,16 +191,36 @@ def test_refinement_skips_the_witness_members():
     def mask(names):
         return sum(1 << gamma.index[v] for v in names)
 
-    holds, calls = counting_holds(gamma)
-    assert _lexmin_max_independent_set(gamma, mask("135"), holds) == ("1", "3", "5")
-    assert calls == []  # the witness already is the lexmin set
+    def kept_from(witness):
+        search, calls = counting_search(gamma, mask(witness))
+        kept, complete, _ = _lexmin_max_independent_set(gamma, search, DEFAULT_BUDGET)
+        assert complete
+        return kept, calls
+
+    assert kept_from("135") == (("1", "3", "5"), [])  # the witness already is the lexmin set
     # 1 is in the witness and joins unsearched; 3 is not, and its pool is {5, 6}
-    assert _lexmin_max_independent_set(gamma, mask("146"), holds) == ("1", "3", "5")
-    assert calls == [(mask("56"), 1)]
-    calls.clear()
-    assert _lexmin_max_independent_set(gamma, mask("246"), holds) == ("1", "3", "5")
-    assert calls == [(mask("3456"), 2)]  # the find {3,5} carries 3 and 5
-    assert _lexmin_max_independent_set(gamma, mask("246"), lambda pool, need: None) is None
+    assert kept_from("146") == (("1", "3", "5"), [(mask("56"), 1)])
+    # the find {3,5} carries 3 and 5
+    assert kept_from("246") == (("1", "3", "5"), [(mask("3456"), 2)])
+
+
+def test_refinement_out_of_budget_keeps_the_first_set():
+    gamma = path_graph(8)
+
+    def mask(names):
+        return sum(1 << gamma.index[v] for v in names)
+
+    # the solve, a probe for 1 that finds {3,6,8}, and a probe for 5 that runs out
+    answers = [(mask("8642"), True, 5), (mask("368"), True, 1), (0, False, 5)]
+    budgets = []
+
+    def search(pool, need, budget):
+        budgets.append(budget)
+        return answers[len(budgets) - 1]
+
+    # the solve's set, name-sorted, and not the witness the probes left
+    assert _lexmin_max_independent_set(gamma, search, 10) == (("2", "4", "6", "8"), False, 11)
+    assert budgets == [10, 5, 4]  # each search gets what the earlier ones left
 
 
 @given(st.builds(random_graph, st.integers(min_value=1, max_value=9),
@@ -208,9 +229,27 @@ def test_refinement_skips_the_witness_members():
 def test_refinement_from_the_solver_witness_is_lexmin(g):
     best, complete, _ = _mis_search(g.adj, DEFAULT_BUDGET)
     assert complete
-    holds, calls = counting_holds(g)
-    assert _lexmin_max_independent_set(g, best, holds) == lexmin_oracle(g)
+    search, calls = counting_search(g, best)
+    assert _lexmin_max_independent_set(g, search, DEFAULT_BUDGET)[:2] == (lexmin_oracle(g), True)
     assert all(pool.bit_count() >= need >= 1 for pool, need in calls)
+
+
+@given(three_voter_elections(max_m=40))
+@settings(max_examples=60, deadline=None)
+def test_refinement_same_for_poset_and_exact_search(e):
+    # one driver, two searches: the vote-1 antichains and branch and bound
+    gamma = multicrossing_graph(e)
+    o = _vote1_orientation(e, gamma)
+    start, _ = _kuhn_matching(o.succ, (1 << e.m) - 1)
+
+    def poset(pool, need, budget):
+        return _antichain(o, pool, start), True, 0
+
+    exact, _ = counting_search(gamma)
+    kept, complete, nodes = _lexmin_max_independent_set(gamma, poset, 0)
+    assert complete and nodes == 0
+    assert _lexmin_max_independent_set(gamma, exact, DEFAULT_BUDGET)[:2] == (kept, True)
+    assert candidate_deletion(e, 0).kept == kept
 
 
 def test_deletion_decided_on_g80():

@@ -8,10 +8,12 @@ import pytest
 from multicrossing import (
     Election,
     UndirectedGraph,
+    analysis,
     cli,
     constructions,
     crossing_sequence,
     emit_election,
+    graphs,
     multicrossing_graph,
 )
 from multicrossing.constructions import implement_clique, implement_empty
@@ -358,3 +360,19 @@ def test_internal_errors_exit_4(capsys, monkeypatch, fixture_path):
     code, _, err = run(capsys, "check", str(fixture_path("brexit.elec")))
     assert code == 4
     assert err == "error: internal error: RecursionError: maximum recursion depth exceeded\n"
+
+    # an analysis whose self-check fails is a fault too, not an input error
+    perm12 = str(fixture_path("perm12.elec"))
+    with monkeypatch.context() as patch:  # no matching: every vertex looks uncovered
+        patch.setattr(graphs, "_kuhn_matching", lambda succ, within, start=None: ({}, 0))
+        code, out, err = run(capsys, "analyze", "deletion", perm12, "--k", "8")
+    assert (code, out) == (4, "")
+    assert err == ("error: internal error: RuntimeError: "
+                   "antichain is not independent in the base graph\n")
+    # every vote-1 mask full: each edge directed both ways, never transitive
+    monkeypatch.setattr(analysis, "_later",
+                        lambda order, index: [(1 << len(index)) - 1] * len(index))
+    code, out, err = run(capsys, "analyze", "partition", perm12, "--k", "5")
+    assert (code, out) == (4, "")
+    assert err == ("error: internal error: RuntimeError: "
+                   "vote-1 orientation of a <=3-voter election not transitive\n")

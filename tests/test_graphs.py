@@ -136,7 +136,19 @@ def test_non_sequences_rejected():
             (lambda: PermutationDiagram("abc", "cba"),
              "pi1: expected a sequence of names, got 'abc'"),
             (lambda: PermutationDiagram(["a"], "a"), "pi2: expected a sequence of names, got 'a'"),
-            (lambda: Orientation(path_graph(2), 5), "arcs: expected a sequence of pairs, got 5")):
+            (lambda: Orientation(path_graph(2), 5), "arcs: expected a sequence of pairs, got 5"),
+            # a str would be unpacked as a pair of one-character names
+            (lambda: UndirectedGraph(["a", "b"], ["ab"]),
+             "edge 1: expected a pair of names, got 'ab'"),
+            (lambda: UndirectedGraph(["a", "b", "c"], [("a", "b"), ("c",)]),
+             "edge 2: expected a pair of names, got ('c',)"),
+            (lambda: UndirectedGraph(["a", "b", "c"], [("a", "b", "c")]),
+             "edge 1: expected a pair of names, got ('a', 'b', 'c')"),
+            (lambda: UndirectedGraph(["a", "b"], [5]), "edge 1: expected a pair of names, got 5"),
+            (lambda: Orientation(path_graph(2), ["12"]),
+             "arc 1: expected a pair of names, got '12'"),
+            (lambda: Orientation(path_graph(3), [("1", "2"), ("2", "3", "1")]),
+             "arc 2: expected a pair of names, got ('2', '3', '1')")):
         with pytest.raises(GraphError) as info:
             build()
         assert str(info.value) == message
