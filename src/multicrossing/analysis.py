@@ -17,6 +17,7 @@ from .graphs import (
     UndirectedGraph,
     _antichain,
     _bits,
+    _count,
     _kuhn_matching,
     _later,
     _mis_search,
@@ -134,10 +135,8 @@ def candidate_deletion(e: Election, k: int, budget: int = DEFAULT_BUDGET) -> Ana
     general path `budget` bounds the nodes of the whole analysis, that
     refinement included, and `nodes_explored` counts them all.
     """
-    if k < 0:
-        raise AnalysisInputError("deletion budget must be >= 0")
-    if budget < 0:
-        raise AnalysisInputError("node budget must be >= 0")
+    _count(k, AnalysisInputError, "deletion budget")
+    _count(budget, AnalysisInputError, "node budget")
     gamma = multicrossing_graph(e)
     if e.n <= 3:
         method = "three-voter-poly"
@@ -173,10 +172,8 @@ def candidate_partition(e: Election, k: int, budget: int = DEFAULT_BUDGET) -> An
     bipartiteness, at most 3 voters via the Mirsky chain-height
     coloring, otherwise exact backtracking.
     """
-    if k < 1:
-        raise AnalysisInputError("number of parts must be >= 1")
-    if budget < 0:
-        raise AnalysisInputError("node budget must be >= 0")
+    _count(k, AnalysisInputError, "number of parts", 1)
+    _count(budget, AnalysisInputError, "node budget")
     gamma = multicrossing_graph(e)
     nodes, exceeded = 0, False
     if k == 2:

@@ -29,20 +29,10 @@ def _require(g: UndirectedGraph, limit: int, what: str):
         )
 
 
-def _bitmasks(g: UndirectedGraph):
-    idx = {v: i for i, v in enumerate(g.vertices)}
-    nbr = [0] * len(g.vertices)
-    for u, v in g.edges:
-        nbr[idx[u]] |= 1 << idx[v]
-        nbr[idx[v]] |= 1 << idx[u]
-    return idx, nbr
-
-
 def bf_independent_set(g: UndirectedGraph) -> tuple[int, tuple[str, ...]]:
     """Maximum independent set size and a witness, by plain recursion."""
     _require(g, MAX_SUBSET_VERTICES, "independent set")
-    idx, nbr = _bitmasks(g)
-    n = len(g.vertices)
+    nbr = g.adj
 
     def rec(avail):
         if avail == 0:
@@ -55,8 +45,8 @@ def bf_independent_set(g: UndirectedGraph) -> tuple[int, tuple[str, ...]]:
             return s_in + 1, m_in | bit
         return s_out, m_out
 
-    size, mask = rec((1 << n) - 1)
-    witness = tuple(v for v in g.vertices if mask >> idx[v] & 1)
+    size, mask = rec((1 << len(nbr)) - 1)
+    witness = tuple(v for v, i in g.index.items() if mask >> i & 1)
     return size, witness
 
 
@@ -169,8 +159,7 @@ def _profile_mask_set(m: int) -> frozenset[int]:
 
 def _graph_mask(g: UndirectedGraph, relabel: tuple[int, ...]) -> int:
     """Edge mask of g after sending vertex i to relabel[i]."""
-    pidx = _pair_index(len(g.vertices))
-    idx = {v: i for i, v in enumerate(g.vertices)}
+    pidx, idx = _pair_index(len(g.vertices)), g.index
     mask = 0
     for u, v in g.edges:
         a, b = relabel[idx[u]], relabel[idx[v]]

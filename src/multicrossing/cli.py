@@ -41,6 +41,7 @@ from .generate import random_election, random_graph
 from .graphs import (
     GraphError,
     _edge_lines,
+    _int_names,
     emit_dot,
     emit_graph,
     parse_graph,
@@ -114,9 +115,9 @@ def _cmd_implement(args) -> int:
     elif family == "cycle":
         result = implement_even_cycle(args.size)
     elif family == "clique":
-        result = implement_clique([str(i) for i in range(1, args.size + 1)])
+        result = implement_clique(_int_names(args.size))
     elif family == "empty":
-        result = implement_empty([str(i) for i in range(1, args.size + 1)])
+        result = implement_empty(_int_names(args.size))
     else:
         if args.graph is None:
             raise InputError(f"--family {family} requires a graph file")

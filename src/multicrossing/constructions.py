@@ -12,6 +12,8 @@ from .graphs import (
     GraphError,
     PermutationDiagram,
     UndirectedGraph,
+    _count,
+    _int_names,
     _later,
     _linear_order,
     _sequence,
@@ -50,10 +52,6 @@ def _finish(candidates, votes, target: UndirectedGraph) -> ImplementationResult:
             f"extra={sorted(got.edges - target.edges)}"
         )
     return ImplementationResult(election, target)
-
-
-def _int_names(s: int) -> list[str]:
-    return [str(i) for i in range(1, s + 1)]
 
 
 def path_graph(s: int) -> UndirectedGraph:
@@ -95,9 +93,7 @@ def _path_votes(s: int) -> tuple[list[int], list[int]]:
 
 
 def implement_path(s: int) -> ImplementationResult:
-    if s < 2:
-        raise ConstructionInputError("path construction needs length >= 2")
-    v1, v2 = _path_votes(s)
+    v1, v2 = _path_votes(_count(s, ConstructionInputError, "path length", 2))
     votes = [[str(c) for c in v] for v in (v1, v2, v1)]
     return _finish(_int_names(s), votes, path_graph(s))
 
@@ -110,8 +106,8 @@ def implement_even_cycle(s: int) -> ImplementationResult:
     Self-verification is mandatory; the generalisation beyond s=6 is
     validated by recomputing the multi-crossing graph.
     """
-    if s < 4 or s % 2:
-        raise ConstructionInputError("cycle construction needs an even length >= 4")
+    if _count(s, ConstructionInputError, "cycle length", 4) % 2:
+        raise ConstructionInputError(f"cycle length must be even, got {s!r}")
     p1, p2 = _path_votes(s)
     v1 = p1
     v2 = [c for c in p2 if c != 1] + [1]
@@ -235,8 +231,7 @@ def _odd_even_schedule(m: int):
 def fully_single_crossing(m: int) -> Election:
     """m-candidate, (m+1)-voter election where every pair crosses exactly
     once, always as an adjacent swap."""
-    if m < 2:
-        raise ConstructionInputError("need at least 2 candidates")
+    _count(m, ConstructionInputError, "candidate count", 2)
     votes = [range(m)] + [vote for vote, _ in _odd_even_schedule(m)]
     return Election(_int_names(m), ((str(c + 1) for c in vote) for vote in votes))
 

@@ -10,6 +10,7 @@ from .graphs import (
     UndirectedGraph,
     _check_names,
     _content_lines,
+    _count,
     _pack_rows,
     _sequence,
     vertex_pair,
@@ -113,7 +114,7 @@ class Election:
 
     def positions(self, voter: int) -> dict[str, int]:
         """Rank of each candidate in the given voter's ballot (1-based voter)."""
-        if not 1 <= voter <= self.n:
+        if _count(voter, ElectionError, "voter", 1) > self.n:
             raise ElectionError(f"voter {voter!r} is not in 1..{self.n}")
         return {c: i for i, c in enumerate(self.votes[voter - 1])}
 
@@ -191,7 +192,9 @@ def emit_election(e: Election) -> str:
 
 def restrict(e: Election, keep) -> Election:
     """Restriction to a candidate subset, preserving each vote's order."""
-    kset = set(_sequence(keep, ElectionError, "restriction"))
+    keep = _sequence(keep, ElectionError, "restriction")
+    _check_names(keep, ElectionError)  # before they are hashed
+    kset = set(keep)
     if not kset:
         raise ElectionError("restriction to an empty candidate set")
     unknown = kset - set(e.candidates)

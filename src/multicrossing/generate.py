@@ -4,8 +4,8 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
-from .elections import Election
-from .graphs import GraphError, PermutationDiagram, UndirectedGraph, vertex_pair
+from .elections import Election, ElectionError
+from .graphs import GraphError, PermutationDiagram, UndirectedGraph, _count, _int_names, vertex_pair
 
 
 def _rng(seed, rng):
@@ -22,9 +22,9 @@ def _check_probability(p):
 def random_election(m: int, n: int, seed=None, rng=None) -> Election:
     """Each vote drawn uniformly at random, candidates named 1..m."""
     r = _rng(seed, rng)
-    candidates = tuple(str(i) for i in range(1, m + 1))
+    candidates = _int_names(_count(m, ElectionError, "candidate count", 1))
     votes = []
-    for _ in range(n):
+    for _ in range(_count(n, ElectionError, "vote count", 1)):
         vote = list(candidates)
         r.shuffle(vote)
         votes.append(vote)
@@ -35,7 +35,7 @@ def random_graph(v: int, p: float, seed=None, rng=None) -> UndirectedGraph:
     """Edge-probability random graph, vertices named 1..v."""
     _check_probability(p)
     r = _rng(seed, rng)
-    names = [str(i) for i in range(1, v + 1)]
+    names = _int_names(_count(v, GraphError, "vertex count", 1))
     edges = [(a, b) for a, b in combinations(names, 2) if r.random() < p]
     return UndirectedGraph(names, edges)
 
@@ -43,14 +43,14 @@ def random_graph(v: int, p: float, seed=None, rng=None) -> UndirectedGraph:
 def random_tree(v: int, seed=None, rng=None) -> UndirectedGraph:
     """Uniform attachment tree on vertices 1..v."""
     r = _rng(seed, rng)
-    names = [str(i) for i in range(1, v + 1)]
+    names = _int_names(_count(v, GraphError, "vertex count", 1))
     edges = [(names[r.randrange(i)], names[i]) for i in range(1, v)]
     return UndirectedGraph(names, edges)
 
 
 def random_permutation_diagram(v: int, seed=None, rng=None) -> PermutationDiagram:
     r = _rng(seed, rng)
-    names = [str(i) for i in range(1, v + 1)]
+    names = _int_names(_count(v, GraphError, "vertex count", 1))
     pi1, pi2 = list(names), list(names)
     r.shuffle(pi1)
     r.shuffle(pi2)
@@ -62,7 +62,7 @@ def random_comparability_graph(v: int, p: float, seed=None, rng=None) -> Undirec
     random DAG over a random linear order)."""
     _check_probability(p)
     r = _rng(seed, rng)
-    names = [str(i) for i in range(1, v + 1)]
+    names = _int_names(_count(v, GraphError, "vertex count", 1))
     order = list(names)
     r.shuffle(order)
     below: dict[str, set[str]] = {x: set() for x in names}  # strict successors

@@ -3,6 +3,7 @@ recognition, poset algorithms (antichains, Mirsky colorings) and the exact
 NP-hard solvers used by the analyzers."""
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -36,11 +37,37 @@ def _sequence(x, error, what, row=None, items="names") -> tuple:
     raise error(f"{where}: expected a sequence of {items}, got {x!r}")
 
 
-def _not_a_pair(what, pairs, pair) -> GraphError:
-    """The refusal of `pair`, the first item of `pairs` (edges or arcs)
-    that is not a pair of names; the row is looked up only on failure."""
-    row = next(n for n, item in enumerate(pairs, 1) if item is pair)
-    return GraphError(f"{what} {row}: expected a pair of names, got {pair!r}")
+def _count(x, error, what, minimum=0) -> int:
+    """`x` (a count, budget or size) if `operator.index` takes it, it is no bool and
+    it is >= `minimum`; else `error` naming `what`. A bare `x < 0` lets NaN and 1.5 by."""
+    try:
+        if not isinstance(x, bool) and operator.index(x) >= minimum:
+            return x
+    except TypeError:
+        pass
+    raise error(f"{what} must be an integer >= {minimum}, got {x!r}")
+
+
+def _int_names(count: int) -> list[str]:
+    return [str(i) for i in range(1, count + 1)]
+
+
+def _index_pairs(pairs, index, what) -> list[tuple[int, int]]:
+    """(index[u], index[v]) for each pair (u, v) of `pairs` (edges or arcs),
+    or GraphError for the first item that is not a pair of hashable names
+    (a str is none) or that names no vertex; its row is found only then."""
+    pairs = _sequence(pairs, GraphError, what + "s", items="pairs")
+    out = []
+    for pair in pairs:
+        try:
+            u, v = () if isinstance(pair, str) else pair
+            out.append((index[u], index[v]))
+        except KeyError:
+            raise GraphError(f"{what} {u!r}-{v!r} uses unknown vertex") from None
+        except (TypeError, ValueError):
+            row = next(n for n, item in enumerate(pairs, 1) if item is pair)
+            raise GraphError(f"{what} {row}: expected a pair of names, got {pair!r}") from None
+    return out
 
 
 def _check_names(names, error, forbidden=""):
@@ -129,19 +156,11 @@ class UndirectedGraph:
         if len(self.index) != len(self.vertices):
             raise GraphError("duplicate vertex name")
         adj = [0] * len(self.vertices)
-        pairs = _sequence(edges, GraphError, "edges", items="pairs")
-        for pair in pairs:
-            try:
-                u, v = () if isinstance(pair, str) else pair  # a str is no pair
-            except (TypeError, ValueError):
-                raise _not_a_pair("edge", pairs, pair) from None
-            if u == v:
-                raise GraphError(f"self-loop at {u!r}")
-            i, j = self.index.get(u), self.index.get(v)
-            if i is None or j is None:
-                raise GraphError(f"edge {u!r}-{v!r} uses unknown vertex")
+        for i, j in _index_pairs(edges, self.index, "edge"):
+            if i == j:
+                raise GraphError(f"self-loop at {self.vertices[i]!r}")
             if adj[i] >> j & 1:
-                raise GraphError(f"duplicate edge {u!r}-{v!r}")
+                raise GraphError(f"duplicate edge {self.vertices[i]!r}-{self.vertices[j]!r}")
             adj[i] |= 1 << j
             adj[j] |= 1 << i
         self.adj: tuple[int, ...] = tuple(adj)
@@ -267,18 +286,12 @@ class Orientation:
     """
 
     def __init__(self, base: UndirectedGraph, arcs):
-        index, adj = base.index, base.adj
+        adj = base.adj
         succ = [0] * len(adj)
         error = GraphError("orientation must direct each base edge exactly once")
         # an arc given twice is one arc
-        pairs = _sequence(arcs, GraphError, "arcs", items="pairs")
-        for pair in pairs:
-            try:
-                a, b = () if isinstance(pair, str) else pair  # a str is no pair
-            except (TypeError, ValueError):
-                raise _not_a_pair("arc", pairs, pair) from None
-            i, j = index.get(a), index.get(b)
-            if i is None or j is None or not adj[i] >> j & 1 or succ[j] >> i & 1:
+        for i, j in _index_pairs(arcs, base.index, "arc"):
+            if not adj[i] >> j & 1 or succ[j] >> i & 1:
                 raise error
             succ[i] |= 1 << j
         if 2 * sum(mask.bit_count() for mask in succ) != sum(mask.bit_count() for mask in adj):
@@ -341,12 +354,13 @@ class PermutationDiagram:
         # tuples, since lists would break == and hash
         object.__setattr__(self, "pi1", _sequence(self.pi1, GraphError, "pi1"))
         object.__setattr__(self, "pi2", _sequence(self.pi2, GraphError, "pi2"))
+        _check_names(self.pi1, GraphError)  # before hashing; pi2 is hashed once all are str
         n = len(self.pi1)
-        if set(self.pi1) != set(self.pi2) or len(set(self.pi1)) != n or len(self.pi2) != n:
+        if (not all(isinstance(v, str) for v in self.pi2)
+                or set(self.pi1) != set(self.pi2) or len(set(self.pi1)) != n or len(self.pi2) != n):
             raise GraphError("pi1 and pi2 must be permutations of the same vertex set")
         if not self.pi1:
             raise GraphError("graph needs at least one vertex")
-        _check_names(self.pi1, GraphError)
 
     def _adj(self, index) -> list[int]:
         """Edge bitmasks over the vertex indices `index`."""
@@ -693,7 +707,7 @@ def _mis_search(nbr, budget, stop_at=None, within=None):
 
 def maximum_independent_set(g: UndirectedGraph, budget=DEFAULT_BUDGET):
     """Exact maximum independent set. Returns (vertices, complete, nodes)."""
-    mask, complete, nodes = _mis_search(g.adj, budget)
+    mask, complete, nodes = _mis_search(g.adj, _count(budget, GraphError, "node budget"))
     return tuple(g.vertices[i] for i in _bits(mask)), complete, nodes
 
 
@@ -709,8 +723,8 @@ def exact_coloring(g: UndirectedGraph, k: int, budget=DEFAULT_BUDGET) -> SolveRe
     clique gives a quick lower-bound refusal. Each step to a new vertex
     counts one node.
     """
-    if k < 1:
-        raise GraphError("k must be at least 1")
+    _count(k, GraphError, "number of colors", 1)
+    _count(budget, GraphError, "node budget")
     adj = g.adj
     clique = 0
     for v in sorted(range(len(adj)), key=lambda v: adj[v].bit_count(), reverse=True):

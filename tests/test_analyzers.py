@@ -7,10 +7,15 @@ from hypothesis import strategies as st
 
 from multicrossing import (
     AnalysisInputError,
+    ConstructionInputError,
     Election,
+    ElectionError,
+    GraphError,
     candidate_deletion,
     candidate_partition,
     exact_coloring,
+    fully_single_crossing,
+    implement_path,
     multicrossing_graph,
     parse_election,
     reduce_coloring,
@@ -28,7 +33,13 @@ from multicrossing.constructions import (
     path_graph,
 )
 from multicrossing.graphs import DEFAULT_BUDGET, _antichain, _kuhn_matching, _mis_search
-from multicrossing.generate import random_election, random_graph, random_tree
+from multicrossing.generate import (
+    random_comparability_graph,
+    random_election,
+    random_graph,
+    random_permutation_diagram,
+    random_tree,
+)
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -313,6 +324,37 @@ def test_negative_budget_rejected(fixture_text):
         # a budget of 0 is allowed, and the general search exceeds it at once
         result = analyze(e, k, budget=0)  # 4 voters: the general path
         assert result.method == "general-exact" and result.budget_exceeded
+
+
+def test_every_count_is_an_integer_at_least_its_minimum(fixture_text):
+    # each public count, budget and size, with the error it raises and its minimum
+    e = parse_election(fixture_text("brexit.elec"))  # 4 voters
+    g = path_graph(3)
+    table = [
+        (lambda x: candidate_deletion(e, x), AnalysisInputError, 0),
+        (lambda x: candidate_deletion(e, 0, budget=x), AnalysisInputError, 0),
+        (lambda x: candidate_partition(e, x), AnalysisInputError, 1),
+        (lambda x: candidate_partition(e, 2, budget=x), AnalysisInputError, 0),
+        (lambda x: exact_coloring(g, x), GraphError, 1),
+        (lambda x: exact_coloring(g, 2, budget=x), GraphError, 0),
+        (lambda x: maximum_independent_set(g, x), GraphError, 0),
+        (implement_path, ConstructionInputError, 2),
+        (implement_even_cycle, ConstructionInputError, 4),
+        (fully_single_crossing, ConstructionInputError, 2),
+        (e.positions, ElectionError, 1),
+        (lambda x: random_election(x, 2, seed=1), ElectionError, 1),
+        (lambda x: random_election(2, x, seed=1), ElectionError, 1),
+        (lambda x: random_graph(x, 0.5, seed=1), GraphError, 1),
+        (lambda x: random_tree(x, seed=1), GraphError, 1),
+        (lambda x: random_permutation_diagram(x, seed=1), GraphError, 1),
+        (lambda x: random_comparability_graph(x, 0.5, seed=1), GraphError, 1),
+    ]
+    for call, error, minimum in table:
+        for bad in (None, float("nan"), float("inf"), -1, minimum - 1, 1.5, True, "3"):
+            with pytest.raises(error) as info:
+                call(bad)
+            assert str(info.value).endswith(f"must be an integer >= {minimum}, got {bad!r}")
+        call(minimum)
 
 
 def test_partition_budget_exceeded():

@@ -376,6 +376,11 @@ def test_restrict_refuses_a_string():
         with pytest.raises(ElectionError) as info:
             restrict(e, bad)
         assert str(info.value) == f"restriction: expected a sequence of names, got {bad!r}"
+    # names are checked before they are hashed or sorted
+    for bad in ([5, "x"], [["a"]]):
+        with pytest.raises(ElectionError) as info:
+            restrict(e, bad)
+        assert str(info.value).startswith(f"invalid name {bad[0]!r}: ")
 
 
 def test_restrict_preserves_order():

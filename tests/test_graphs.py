@@ -148,7 +148,15 @@ def test_non_sequences_rejected():
             (lambda: Orientation(path_graph(2), ["12"]),
              "arc 1: expected a pair of names, got '12'"),
             (lambda: Orientation(path_graph(3), [("1", "2"), ("2", "3", "1")]),
-             "arc 2: expected a pair of names, got ('2', '3', '1')")):
+             "arc 2: expected a pair of names, got ('2', '3', '1')"),
+            # an unhashable name cannot be looked up
+            (lambda: UndirectedGraph(["a", "b"], [(["a"], "b")]),
+             "edge 1: expected a pair of names, got (['a'], 'b')"),
+            (lambda: Orientation(path_graph(2), [("1", ["2"])]),
+             "arc 1: expected a pair of names, got ('1', ['2'])"),
+            (lambda: PermutationDiagram([["a"]], [["a"]]),
+             "invalid name ['a']: a name is a non-empty string without whitespace,"
+             " not starting with '#'")):
         with pytest.raises(GraphError) as info:
             build()
         assert str(info.value) == message
