@@ -196,12 +196,16 @@ def candidate_partition(e: Election, k: int, budget: int = DEFAULT_BUDGET) -> An
 
 
 def reduce_independent_set(g: UndirectedGraph, t: int) -> tuple[Election, int]:
-    """Independent Set instance -> Candidate Deletion instance."""
-    result = implement_general(g)
-    return result.election, len(g.vertices) - t
+    """Independent Set instance -> Candidate Deletion instance: an
+    independent set of t vertices is a deletion of |V| - t candidates."""
+    if _count(t, AnalysisInputError, "independent set size") > len(g.vertices):
+        raise AnalysisInputError(
+            f"independent set size must be at most the vertex count {len(g.vertices)}, got {t!r}")
+    return implement_general(g).election, len(g.vertices) - t
 
 
 def reduce_coloring(g: UndirectedGraph, k: int) -> Election:
-    """k-Coloring instance -> k-Candidate Partition instance."""
-    del k  # the part count carries over unchanged
+    """k-Coloring instance -> k-Candidate Partition instance; the part
+    count carries over unchanged."""
+    _count(k, AnalysisInputError, "number of colors", 1)
     return implement_general(g).election

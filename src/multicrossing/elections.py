@@ -121,7 +121,7 @@ class Election:
     def prefers(self, voter: int, a: str, b: str) -> bool:
         pos = self.positions(voter)
         for c in (a, b):
-            if c not in pos:
+            if not isinstance(c, str) or c not in pos:
                 raise ElectionError(f"unknown candidate {c!r}")
         return pos[a] < pos[b]
 

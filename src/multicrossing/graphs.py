@@ -195,11 +195,18 @@ class UndirectedGraph:
         return f"UndirectedGraph({len(self.vertices)} vertices, {size} edges)"
 
     def has_edge(self, a: str, b: str) -> bool:
+        """Whether a and b are adjacent; False when either names no vertex."""
+        for name in (a, b):
+            if not isinstance(name, str):
+                raise GraphError(f"vertex name must be a str, got {name!r}")
         i, j = self.index.get(a), self.index.get(b)
         return i is not None and j is not None and bool(self.adj[i] >> j & 1)
 
     def neighbors(self, v: str) -> set[str]:
-        return {self.vertices[j] for j in _bits(self.adj[self.index[v]])}
+        i = self.index.get(v) if isinstance(v, str) else None
+        if i is None:
+            raise GraphError(f"unknown vertex {v!r}")
+        return {self.vertices[j] for j in _bits(self.adj[i])}
 
     def complement(self) -> "UndirectedGraph":
         full = (1 << len(self.vertices)) - 1
@@ -639,49 +646,47 @@ def _mis_search(nbr, budget, stop_at=None, within=None):
     """Branch-and-bound maximum independent set over bitmasks, among the
     vertices of the mask `within` (default: all).
 
-    Depth-first on an explicit stack of (available, chosen, size) nodes,
-    each counting one node of `budget`. At a node:
+    Depth-first on an explicit stack of (available, chosen, size, touched)
+    nodes, each counting one node of `budget`. `touched` holds the
+    available vertices that may have lost a neighbour since the parent
+    node was folded: all of `within` at the root, N(v) when v is left
+    out, and the neighbours of v's neighbours when v is taken. At a node:
 
-    1. Every available vertex with at most one available neighbour is
-       taken (its neighbour, if any, is dropped), repeatedly: some
-       maximum set among the available vertices contains it.
+    1. A worklist pass over `touched` takes every vertex with at most one
+       available neighbour (its neighbour, if any, is dropped and the
+       neighbour's neighbours join the worklist): some maximum set among
+       the available vertices contains it. A fold chain so costs one step
+       per vertex whatever its index order.
     2. The node is pruned when |chosen| + |available|, or |chosen| plus
        the size of a greedy clique cover of the available vertices (an
        independent set has at most one vertex per clique; Tomita & Seki,
        DMTCS 2003), cannot beat the best set so far.
-    3. Otherwise it branches on the highest-degree available vertex,
-       taking it before leaving it out.
+    3. Otherwise, and only then, it looks for the highest-degree available
+       vertex (lowest index on ties) and branches on it, taking it before
+       leaving it out.
 
     Returns (best_mask, complete, nodes); complete is False when the
     node budget ran out, and True when a set of at least `stop_at`
     vertices ends the search early.
     """
     best_size, best_mask, nodes = -1, 0, 0
-    stack = [((1 << len(nbr)) - 1 if within is None else within, 0, 0)]
+    pool = (1 << len(nbr)) - 1 if within is None else within
+    stack = [(pool, 0, 0, pool)]
     while stack:
-        avail, cur_mask, cur_size = stack.pop()
+        avail, cur_mask, cur_size, touched = stack.pop()
         nodes += 1
         if nodes > budget:
             return best_mask, False, nodes
-        folded = True
-        while folded:  # degree-0/1 folding; the last pass finds the branch vertex
-            folded, pick, pick_deg = False, -1, -1
-            rest = avail
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                v = low.bit_length() - 1
-                near = nbr[v] & avail
-                if near & (near - 1) == 0:
-                    cur_mask |= low
-                    cur_size += 1
-                    avail &= ~(low | near)
-                    rest &= ~near
-                    folded = True
-                elif not folded:
-                    d = near.bit_count()
-                    if d > pick_deg:
-                        pick, pick_deg = v, d
+        while touched:  # degree-0/1 folding; touched stays within avail
+            low = touched & -touched
+            touched ^= low
+            near = nbr[low.bit_length() - 1] & avail
+            if near & (near - 1) == 0:
+                cur_mask |= low
+                cur_size += 1
+                avail ^= low | near
+                if near:
+                    touched = (touched | nbr[near.bit_length() - 1]) & avail
         if cur_size > best_size:
             best_size, best_mask = cur_size, cur_mask
             if stop_at is not None and cur_size >= stop_at:
@@ -699,9 +704,21 @@ def _mis_search(nbr, budget, stop_at=None, within=None):
                 grow &= nbr[low.bit_length() - 1]
         if cliques <= room:
             continue
-        bit = 1 << pick
-        stack.append((avail & ~bit, cur_mask, cur_size))
-        stack.append((avail & ~nbr[pick] & ~bit, cur_mask | bit, cur_size + 1))
+        pick_deg, rest = -1, avail
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            d = (nbr[low.bit_length() - 1] & avail).bit_count()
+            if d > pick_deg:
+                bit, pick_deg = low, d
+        near = nbr[bit.bit_length() - 1] & avail
+        take, lost, rest = avail & ~(bit | near), 0, near
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            lost |= nbr[low.bit_length() - 1]
+        stack.append((avail ^ bit, cur_mask, cur_size, near))
+        stack.append((take, cur_mask | bit, cur_size + 1, lost & take))
     return best_mask, True, nodes
 
 

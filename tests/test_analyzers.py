@@ -338,6 +338,8 @@ def test_every_count_is_an_integer_at_least_its_minimum(fixture_text):
         (lambda x: exact_coloring(g, x), GraphError, 1),
         (lambda x: exact_coloring(g, 2, budget=x), GraphError, 0),
         (lambda x: maximum_independent_set(g, x), GraphError, 0),
+        (lambda x: reduce_independent_set(g, x), AnalysisInputError, 0),
+        (lambda x: reduce_coloring(g, x), AnalysisInputError, 1),
         (implement_path, ConstructionInputError, 2),
         (implement_even_cycle, ConstructionInputError, 4),
         (fully_single_crossing, ConstructionInputError, 2),
@@ -355,6 +357,15 @@ def test_every_count_is_an_integer_at_least_its_minimum(fixture_text):
                 call(bad)
             assert str(info.value).endswith(f"must be an integer >= {minimum}, got {bad!r}")
         call(minimum)
+
+
+def test_reduce_independent_set_refuses_more_than_every_vertex():
+    g = path_graph(3)
+    assert reduce_independent_set(g, 3)[1] == 0
+    for t in (4, 5):
+        with pytest.raises(AnalysisInputError) as info:
+            reduce_independent_set(g, t)
+        assert str(info.value) == f"independent set size must be at most the vertex count 3, got {t}"
 
 
 def test_partition_budget_exceeded():
@@ -396,13 +407,12 @@ def test_json_shape(fixture_text):
        st.integers(min_value=1, max_value=12))
 @settings(max_examples=40, deadline=None)
 def test_independent_set_reduction_sound(g, t):
+    if t > len(g.vertices):  # asked for more vertices than the graph has
+        with pytest.raises(AnalysisInputError):
+            reduce_independent_set(g, t)
+        return
     e, k = reduce_independent_set(g, t)
-    has_set = bf.bf_independent_set(g)[0] >= t
-    result = candidate_deletion(e, k) if k >= 0 else None
-    if k < 0:
-        assert not has_set  # asked for more vertices than the graph has
-    else:
-        assert result.feasible == has_set
+    assert candidate_deletion(e, k).feasible == (bf.bf_independent_set(g)[0] >= t)
 
 
 @given(st.builds(random_graph,

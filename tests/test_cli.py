@@ -208,7 +208,8 @@ def test_analyze_three_voter_deletion_at_size(capsys, tmp_path, fixture_text):
 
 
 def test_analyze_general_deletion_kept_matches_fixture(capsys, tmp_path, fixture_text):
-    # 4 voters: the exact solve and its lexmin probes pick 17 of 80 candidates
+    # 4 voters: the exact solve and its lexmin probes pick 17 of 80 candidates; the
+    # whole output is pinned, so a change in the search's node count shows here too
     code, out, _ = run(capsys, "gen", "random-election",
                        "--m", "80", "--n", "4", "--seed", "7")
     assert code == 0
@@ -216,9 +217,7 @@ def test_analyze_general_deletion_kept_matches_fixture(capsys, tmp_path, fixture
     election.write_text(out, encoding="utf-8")
     code, out, _ = run(capsys, "analyze", "deletion", str(election), "--k", "63")
     assert code == 0
-    payload = json.loads(out)
-    assert payload["method"] == "general-exact" and payload["optimal"]
-    assert payload["kept"] == fixture_text("random80x4.kept").split()
+    assert out == fixture_text("random80x4.deletion")  # general-exact, optimal, 210 nodes
 
 
 def test_analyze_budget_exceeded_exit_3(capsys, fixture_path):

@@ -173,9 +173,11 @@ def test_voter_outside_range_rejected(fixture_text):
 
 def test_prefers_unknown_candidate_rejected(fixture_text):
     e = parse_election(fixture_text("brexit.elec"))
-    for a, b in (("X", "N"), ("D", "X")):
-        with pytest.raises(ElectionError, match="unknown candidate 'X'"):
+    for a, b, bad in (("X", "N", "'X'"), ("D", "X", "'X'"), (["D"], "N", "['D']"),
+                      ("D", ["N"], "['N']"), (5, "N", "5"), ("D", None, "None")):
+        with pytest.raises(ElectionError) as info:
             e.prefers(1, a, b)
+        assert str(info.value) == f"unknown candidate {bad}"
 
 
 def test_election_from_lists_is_a_value():

@@ -163,6 +163,20 @@ def test_non_sequences_rejected():
     assert UndirectedGraph(iter("ab"), iter([("a", "b")])).edges == {("a", "b")}
 
 
+def test_queries_refuse_names_that_are_no_vertex():
+    g = path_graph(3)
+    assert not g.has_edge("zz", "1") and not g.has_edge("1", "3") and g.has_edge("2", "1")
+    for query, message in (
+            (lambda: g.neighbors("zz"), "unknown vertex 'zz'"),
+            (lambda: g.neighbors(["1"]), "unknown vertex ['1']"),
+            (lambda: g.neighbors(1), "unknown vertex 1"),
+            (lambda: g.has_edge(["1"], "2"), "vertex name must be a str, got ['1']"),
+            (lambda: g.has_edge("1", 2), "vertex name must be a str, got 2")):
+        with pytest.raises(GraphError) as info:
+            query()
+        assert str(info.value) == message
+
+
 def test_edge_given_in_both_directions_rejected():
     for edges in ([("a", "b"), ("b", "a")], [("a", "b"), ("a", "b")]):
         with pytest.raises(GraphError, match="duplicate edge"):
@@ -630,12 +644,26 @@ def test_budget_exhaustion_reported():
     assert report.status == "budget-exceeded"
 
 
+def test_mis_fold_cascade_runs_against_index_order():
+    # a 2 000-vertex path whose leaf has the highest index, hung on a triangle:
+    # the root folds the path from its leaf down, then one branch settles the
+    # triangle; a fold that lost track of a vertex would branch on the path
+    n = 2000
+    g = UndirectedGraph([str(i) for i in range(n + 3)],
+                        [(str(i), str(i + 1)) for i in range(n - 1)]
+                        + [("0", str(n)), (str(n), str(n + 1)), (str(n + 1), str(n + 2)),
+                           (str(n), str(n + 2))])
+    best, complete, nodes = maximum_independent_set(g)
+    assert (len(best), complete, nodes) == (n // 2 + 1, True, 3)
+    assert not any(g.has_edge(a, b) for a, b in combinations(best, 2))
+
+
 # Search order: kept vertices, completeness and node counts of seeded
 # searches, written with the clique-cover bound and DSATUR branching.
 MIS_PINS = [
     ((30, 0.3, 1), 10_000_000, ([4, 8, 10, 13, 16, 17, 18, 26, 27, 28], True, 41)),
     ((40, 0.2, 2), 10_000_000,
-     ([2, 4, 7, 10, 14, 20, 21, 22, 25, 26, 28, 37, 38], True, 91)),
+     ([2, 4, 7, 10, 14, 20, 21, 22, 23, 25, 26, 28, 38], True, 91)),
     ((25, 0.5, 3), 10_000_000, ([1, 5, 6, 12, 19, 21], True, 39)),
     ((90, 0.1, 4), 2000,
      ([4, 7, 10, 14, 16, 17, 19, 21, 22, 23, 27, 28, 39, 46, 48, 50, 55, 59, 63, 65, 69,
