@@ -17,6 +17,7 @@ from .graphs import (
     UndirectedGraph,
     _antichain,
     _bits,
+    _by_degree,
     _count,
     _kuhn_matching,
     _later,
@@ -148,6 +149,7 @@ def candidate_deletion(e: Election, k: int, budget: int = DEFAULT_BUDGET) -> Ana
             return _antichain(o, pool, start), True, 0  # a maximum antichain, at no node
     else:
         method = "general-exact"
+        gamma = _by_degree(gamma)  # the driver walks names, so the kept set is the same
 
         def search(pool: int, need: int | None, budget: int) -> tuple[int, bool, int]:
             return _mis_search(gamma.adj, budget, stop_at=need, within=pool)

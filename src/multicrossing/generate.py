@@ -5,7 +5,7 @@ import random
 from itertools import combinations
 
 from .elections import Election, ElectionError
-from .graphs import GraphError, PermutationDiagram, UndirectedGraph, _count, _int_names, vertex_pair
+from .graphs import GraphError, PermutationDiagram, UndirectedGraph, _bits, _count, _int_names
 
 
 def _rng(seed, rng):
@@ -35,17 +35,23 @@ def random_graph(v: int, p: float, seed=None, rng=None) -> UndirectedGraph:
     """Edge-probability random graph, vertices named 1..v."""
     _check_probability(p)
     r = _rng(seed, rng)
-    names = _int_names(_count(v, GraphError, "vertex count", 1))
-    edges = [(a, b) for a, b in combinations(names, 2) if r.random() < p]
-    return UndirectedGraph(names, edges)
+    adj = [0] * _count(v, GraphError, "vertex count", 1)
+    for i, j in combinations(range(v), 2):
+        if r.random() < p:
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+    return UndirectedGraph._from_masks(_int_names(v), adj)
 
 
 def random_tree(v: int, seed=None, rng=None) -> UndirectedGraph:
     """Uniform attachment tree on vertices 1..v."""
     r = _rng(seed, rng)
-    names = _int_names(_count(v, GraphError, "vertex count", 1))
-    edges = [(names[r.randrange(i)], names[i]) for i in range(1, v)]
-    return UndirectedGraph(names, edges)
+    adj = [0] * _count(v, GraphError, "vertex count", 1)
+    for i in range(1, v):
+        parent = r.randrange(i)
+        adj[parent] |= 1 << i
+        adj[i] |= 1 << parent
+    return UndirectedGraph._from_masks(_int_names(v), adj)
 
 
 def random_permutation_diagram(v: int, seed=None, rng=None) -> PermutationDiagram:
@@ -62,16 +68,15 @@ def random_comparability_graph(v: int, p: float, seed=None, rng=None) -> Undirec
     random DAG over a random linear order)."""
     _check_probability(p)
     r = _rng(seed, rng)
-    names = _int_names(_count(v, GraphError, "vertex count", 1))
-    order = list(names)
+    order = list(range(_count(v, GraphError, "vertex count", 1)))
     r.shuffle(order)
-    below: dict[str, set[str]] = {x: set() for x in names}  # strict successors
+    below = [0] * v  # strict successors
     for i in range(v - 1, -1, -1):
         for j in range(i + 1, v):
             if r.random() < p:
-                below[order[i]].add(order[j])
-                below[order[i]] |= below[order[j]]
-    edges = sorted(
-        vertex_pair(x, y) for x, succ in below.items() for y in succ
-    )
-    return UndirectedGraph(names, edges)
+                below[order[i]] |= 1 << order[j] | below[order[j]]
+    adj = list(below)
+    for x, succ in enumerate(below):
+        for y in _bits(succ):
+            adj[y] |= 1 << x
+    return UndirectedGraph._from_masks(_int_names(v), adj)

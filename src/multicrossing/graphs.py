@@ -653,10 +653,12 @@ def _mis_search(nbr, budget, stop_at=None, within=None):
     out, and the neighbours of v's neighbours when v is taken. At a node:
 
     1. A worklist pass over `touched` takes every vertex with at most one
-       available neighbour (its neighbour, if any, is dropped and the
-       neighbour's neighbours join the worklist): some maximum set among
-       the available vertices contains it. A fold chain so costs one step
-       per vertex whatever its index order.
+       available neighbour, and every vertex whose two available
+       neighbours are adjacent (a triangle; Chen, Kanj & Jia, J.
+       Algorithms 41, 2001). Its closed neighbourhood is a clique, so some
+       maximum set among the available vertices contains it; its
+       neighbours are dropped and their neighbours join the worklist. A
+       fold chain so costs one step per vertex whatever its index order.
     2. The node is pruned when |chosen| + |available|, or |chosen| plus
        the size of a greedy clique cover of the available vertices (an
        independent set has at most one vertex per clique; Tomita & Seki,
@@ -665,11 +667,19 @@ def _mis_search(nbr, budget, stop_at=None, within=None):
        vertex (lowest index on ties) and branches on it, taking it before
        leaving it out.
 
+    With `stop_at` the search is a decision probe: it starts as if a set
+    of `stop_at` - 1 vertices were known, so the bounds prune from the
+    root every subtree that cannot reach `stop_at`, and a set that
+    reaches it ends the search. A probe that does not reach `stop_at`
+    returns an independent mask within `within` that need not be maximum
+    there. The clique cover is built in index order; callers search the
+    graph relabelled by ascending degree (`_by_degree`), where it tends
+    to need fewer cliques.
+
     Returns (best_mask, complete, nodes); complete is False when the
-    node budget ran out, and True when a set of at least `stop_at`
-    vertices ends the search early.
+    node budget ran out.
     """
-    best_size, best_mask, nodes = -1, 0, 0
+    best_size, best_mask, nodes = -1 if stop_at is None else stop_at - 1, 0, 0
     pool = (1 << len(nbr)) - 1 if within is None else within
     stack = [(pool, 0, 0, pool)]
     while stack:
@@ -677,19 +687,21 @@ def _mis_search(nbr, budget, stop_at=None, within=None):
         nodes += 1
         if nodes > budget:
             return best_mask, False, nodes
-        while touched:  # degree-0/1 folding; touched stays within avail
+        while touched:  # degree-0/1 and triangle folding; touched stays within avail
             low = touched & -touched
             touched ^= low
             near = nbr[low.bit_length() - 1] & avail
-            if near & (near - 1) == 0:
+            far = near & (near - 1)  # near but its lowest vertex
+            if far & (far - 1) == 0 and (not far or nbr[far.bit_length() - 1] & near):
                 cur_mask |= low
                 cur_size += 1
                 avail ^= low | near
                 if near:
-                    touched = (touched | nbr[near.bit_length() - 1]) & avail
+                    touched = (touched | nbr[near.bit_length() - 1]
+                               | nbr[(near & -near).bit_length() - 1]) & avail
         if cur_size > best_size:
             best_size, best_mask = cur_size, cur_mask
-            if stop_at is not None and cur_size >= stop_at:
+            if stop_at is not None:  # a decision probe starts at best_size = stop_at - 1
                 return best_mask, True, nodes
         room = best_size - cur_size  # the most cliques a cover may have and still prune
         if avail == 0 or avail.bit_count() <= room:
@@ -722,10 +734,27 @@ def _mis_search(nbr, budget, stop_at=None, within=None):
     return best_mask, True, nodes
 
 
+def _by_degree(g: UndirectedGraph) -> UndirectedGraph:
+    """The same graph with its vertices in ascending degree order, ties by
+    index. `_mis_search` builds its greedy clique cover in index order, and
+    in this order it tends to need fewer cliques."""
+    adj = g.adj
+    order = sorted(range(len(adj)), key=lambda i: adj[i].bit_count())
+    bit = [0] * len(adj)  # bit[i]: the bit of vertex i in the new order
+    for new, old in enumerate(order):
+        bit[old] = 1 << new
+    masks = [sum(map(bit.__getitem__, _bits(adj[old]))) for old in order]
+    return UndirectedGraph._from_masks([g.vertices[i] for i in order], masks)
+
+
 def maximum_independent_set(g: UndirectedGraph, budget=DEFAULT_BUDGET):
-    """Exact maximum independent set. Returns (vertices, complete, nodes)."""
-    mask, complete, nodes = _mis_search(g.adj, _count(budget, GraphError, "node budget"))
-    return tuple(g.vertices[i] for i in _bits(mask)), complete, nodes
+    """Exact maximum independent set, searched in ascending degree order.
+    Returns (vertices in g's order, complete, nodes)."""
+    budget = _count(budget, GraphError, "node budget")
+    h = _by_degree(g)
+    mask, complete, nodes = _mis_search(h.adj, budget)
+    best = sorted(g.index[h.vertices[i]] for i in _bits(mask))
+    return tuple(g.vertices[i] for i in best), complete, nodes
 
 
 def exact_coloring(g: UndirectedGraph, k: int, budget=DEFAULT_BUDGET) -> SolveReport:

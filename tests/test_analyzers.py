@@ -272,6 +272,16 @@ def test_deletion_decided_on_g80():
     assert len(result.kept) == 29 and result.feasible
 
 
+def test_deletion_decided_on_g110():
+    # Independent Set on G(110, 0.1, seed 1): 55 101 nodes in index order with
+    # degree-0/1 folds only, within 50 000 with the ascending-degree order, the
+    # triangle fold and probes that prune from the root
+    e, k = reduce_independent_set(random_graph(110, 0.1, seed=1), 33)
+    result = candidate_deletion(e, k, budget=50_000)
+    assert result.optimal and not result.budget_exceeded
+    assert len(result.kept) == 33 and result.feasible
+
+
 # -------------------------------------------------------------- partition
 
 

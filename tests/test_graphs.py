@@ -35,11 +35,13 @@ from multicrossing.generate import (
     random_election,
     random_graph,
     random_permutation_diagram,
+    random_tree,
 )
 from multicrossing.graphs import (
     DEFAULT_BUDGET,
     _antichain,
     _bits,
+    _by_degree,
     _kuhn_matching,
     _mis_search,
 )
@@ -124,6 +126,36 @@ def test_generators_reject_probabilities_outside_unit_interval():
                 generate(5, p, seed=1)
     assert len(random_graph(5, 1, seed=1).edges) == 10
     assert not random_comparability_graph(5, 0, seed=1).edges
+
+
+def pair_built(kind, v, p, seed):
+    """The generators as name-pair builds through UndirectedGraph(names, edges):
+    the reference the mask builds must match draw for draw."""
+    r, names = Random(seed), [str(i) for i in range(1, v + 1)]
+    if kind == "graph":
+        edges = [(a, b) for a, b in combinations(names, 2) if r.random() < p]
+    elif kind == "tree":
+        edges = [(names[r.randrange(i)], names[i]) for i in range(1, v)]
+    else:
+        order = list(names)
+        r.shuffle(order)
+        below = {x: set() for x in names}
+        for i in range(v - 1, -1, -1):
+            for j in range(i + 1, v):
+                if r.random() < p:
+                    below[order[i]] |= {order[j]} | below[order[j]]
+        edges = [(x, y) for x, succ in below.items() for y in succ]
+    return UndirectedGraph(names, edges)
+
+
+def test_generators_match_pair_built_graphs():
+    for seed in range(120):
+        v, p = 1 + seed % 23, (0.1, 0.3, 0.6, 1.0)[seed % 4]
+        for kind, got in (("graph", random_graph(v, p, seed=seed)),
+                          ("tree", random_tree(v, seed=seed)),
+                          ("poset", random_comparability_graph(v, p, seed=seed))):
+            want = pair_built(kind, v, p, seed)
+            assert (got.vertices, got.adj) == (want.vertices, want.adj), (kind, seed)
 
 
 def test_non_sequences_rejected():
@@ -627,11 +659,14 @@ def test_mis_search_within_pool(g, pool, stop_at):
     if stop_at is not None and size >= stop_at:
         return
     members = [v for i, v in enumerate(g.vertices) if pool >> i & 1]
+    alpha = 0
     if members:
         sub = UndirectedGraph(members, [e for e in g.edges if set(e) <= set(members)])
-        assert size == bf.bf_independent_set(sub)[0]
-    else:
-        assert size == 0
+        alpha = bf.bf_independent_set(sub)[0]
+    if stop_at is None:
+        assert size == alpha
+    else:  # a probe that falls short need not be maximum, but no set reaches stop_at
+        assert alpha < stop_at
 
 
 def test_budget_exhaustion_reported():
@@ -645,29 +680,59 @@ def test_budget_exhaustion_reported():
 
 
 def test_mis_fold_cascade_runs_against_index_order():
-    # a 2 000-vertex path whose leaf has the highest index, hung on a triangle:
-    # the root folds the path from its leaf down, then one branch settles the
-    # triangle; a fold that lost track of a vertex would branch on the path
+    # a 2 000-vertex path whose leaf has the highest index, hung on a triangle,
+    # searched in this index order: the root folds the path from its leaf down
+    # and then the triangle; a fold that lost track of a vertex would branch
     n = 2000
     g = UndirectedGraph([str(i) for i in range(n + 3)],
                         [(str(i), str(i + 1)) for i in range(n - 1)]
                         + [("0", str(n)), (str(n), str(n + 1)), (str(n + 1), str(n + 2)),
                            (str(n), str(n + 2))])
+    best, complete, nodes = _mis_search(g.adj, DEFAULT_BUDGET)
+    assert (best.bit_count(), complete, nodes) == (n // 2 + 1, True, 1)
+    assert not any(g.adj[v] & best for v in _bits(best))
+
+
+def test_mis_triangle_fold_settles_at_the_root():
+    # disjoint triangles, each with a pendant path on one corner: the paths
+    # fold from their leaves, and then each triangle folds, with no branch
+    edges, names = [], []
+    for t in range(12):
+        a, b, c = (f"t{t}{x}" for x in "abc")
+        path = [f"p{t}_{i}" for i in range(t % 4)]
+        names += [a, b, c, *path]
+        edges += [(a, b), (b, c), (a, c)]
+        edges += list(zip([a, *path], path))
+    g = UndirectedGraph(names, edges)
     best, complete, nodes = maximum_independent_set(g)
-    assert (len(best), complete, nodes) == (n // 2 + 1, True, 3)
+    assert (complete, nodes) == (True, 1)
+    assert len(best) == sum(1 + (t % 4 + 1) // 2 for t in range(12))  # 1 + ceil(path / 2) each
     assert not any(g.has_edge(a, b) for a, b in combinations(best, 2))
 
 
+@given(graphs(max_v=12))
+@settings(max_examples=80, deadline=None)
+def test_degree_order_is_the_same_graph(g):
+    h = _by_degree(g)
+    assert h == g
+    degrees = [mask.bit_count() for mask in h.adj]
+    assert degrees == sorted(degrees)
+    # ties keep g's order
+    assert all(g.index[a] < g.index[b] for a, b, da, db in
+               zip(h.vertices, h.vertices[1:], degrees, degrees[1:]) if da == db)
+
+
 # Search order: kept vertices, completeness and node counts of seeded
-# searches, written with the clique-cover bound and DSATUR branching.
+# searches, written with the clique-cover bound, the triangle fold, the
+# ascending-degree order and DSATUR branching.
 MIS_PINS = [
-    ((30, 0.3, 1), 10_000_000, ([4, 8, 10, 13, 16, 17, 18, 26, 27, 28], True, 41)),
+    ((30, 0.3, 1), 10_000_000, ([4, 8, 10, 13, 16, 17, 18, 26, 27, 28], True, 33)),
     ((40, 0.2, 2), 10_000_000,
-     ([2, 4, 7, 10, 14, 20, 21, 22, 23, 25, 26, 28, 38], True, 91)),
-    ((25, 0.5, 3), 10_000_000, ([1, 5, 6, 12, 19, 21], True, 39)),
+     ([2, 4, 7, 10, 14, 20, 22, 23, 25, 26, 28, 31, 38], True, 55)),
+    ((25, 0.5, 3), 10_000_000, ([3, 4, 5, 9, 16, 17], True, 21)),
     ((90, 0.1, 4), 2000,
-     ([4, 7, 10, 14, 16, 17, 19, 21, 22, 23, 27, 28, 39, 46, 48, 50, 55, 59, 63, 65, 69,
-       75, 76, 78, 80, 82, 83, 85, 86], False, 2001)),
+     ([4, 7, 10, 11, 14, 16, 17, 19, 24, 27, 34, 37, 38, 42, 48, 49, 52, 55, 59, 60, 68,
+       69, 75, 76, 78, 80, 82, 83, 85, 87], False, 2001)),
 ]
 
 
