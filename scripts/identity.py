@@ -1,14 +1,14 @@
 #!/usr/bin/env python3
 """Compare the analysis results of this checkout with those of a git revision.
 
-Usage: python3 scripts/identity.py --base REV [--seeds N]
+Usage: python3 scripts/identity.py --base REV
 
 REV's src/ is extracted with `git archive` into a temporary directory, and
 it and this checkout's src/ are imported side by side under different
-package names. Each copy builds the same seeded instances with its own
-generators: Independent Set and Coloring reduction outputs of random
-graphs, trees and comparability graphs, and random elections of 2 to 8
-voters. Both run candidate_deletion and candidate_partition on each at
+package names. Each copy builds the same instances, for seeds 1 to 10,
+with its own generators: Independent Set and Coloring reduction outputs
+of random graphs, trees and comparability graphs, and random elections
+of 2 to 8 voters. Both run candidate_deletion and candidate_partition on each at
 node budgets 0, 1, 10 and 10**7.
 
 Every difference in to_json_dict() other than nodes_explored is printed,
@@ -26,6 +26,7 @@ import tempfile
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
+SEEDS = 10  # the corpus is built for seeds 1..SEEDS
 BUDGETS = (0, 1, 10, 10**7)
 # (generator, vertex count, edge probability) of the reduction outputs
 GRAPHS = [("graph", 12, 0.3), ("graph", 20, 0.2), ("graph", 30, 0.3), ("graph", 45, 0.15),
@@ -64,11 +65,11 @@ def instances(mc, seed: int):
             yield label, "partition", e, parts
 
 
-def results(mc, seeds: int) -> list:
+def results(mc) -> list:
     """(label, problem, k, budget, to_json_dict()) of every run, in corpus order."""
     solve = {"deletion": mc.candidate_deletion, "partition": mc.candidate_partition}
     return [(label, problem, k, budget, solve[problem](e, k, budget).to_json_dict())
-            for seed in range(1, seeds + 1)
+            for seed in range(1, SEEDS + 1)
             for label, problem, e, k in instances(mc, seed)
             for budget in BUDGETS]
 
@@ -77,7 +78,6 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--base", required=True, help="git revision to compare against")
-    parser.add_argument("--seeds", type=int, default=10, help="seeds 1..N of the corpus")
     args = parser.parse_args()
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -87,8 +87,8 @@ def main() -> int:
             print(archive.stderr.decode().strip(), file=sys.stderr)
             return 2
         subprocess.run(["tar", "-x", "-C", tmp], input=archive.stdout, check=True)
-        base = results(load(Path(tmp) / "src", "multicrossing_base"), args.seeds)
-    head = results(load(REPO / "src", "multicrossing_head"), args.seeds)
+        base = results(load(Path(tmp) / "src", "multicrossing_base"))
+    head = results(load(REPO / "src", "multicrossing_head"))
 
     nodes = {"base": {}, "head": {}}
     differences = complete_differences = 0

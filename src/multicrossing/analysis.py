@@ -17,11 +17,10 @@ from .graphs import (
     UndirectedGraph,
     _antichain,
     _bits,
-    _by_degree,
     _count,
+    _degree_ordered_search,
     _kuhn_matching,
     _later,
-    _mis_search,
     exact_coloring,
     is_bipartite,
     mirsky_coloring,
@@ -149,10 +148,8 @@ def candidate_deletion(e: Election, k: int, budget: int = DEFAULT_BUDGET) -> Ana
             return _antichain(o, pool, start), True, 0  # a maximum antichain, at no node
     else:
         method = "general-exact"
-        gamma = _by_degree(gamma)  # the driver walks names, so the kept set is the same
-
-        def search(pool: int, need: int | None, budget: int) -> tuple[int, bool, int]:
-            return _mis_search(gamma.adj, budget, stop_at=need, within=pool)
+        # the search runs in degree order; the driver walks names, so the kept set is the same
+        gamma, search = _degree_ordered_search(gamma)
     kept, complete, nodes = _lexmin_max_independent_set(gamma, search, budget)
     return AnalysisResult(
         kind="deletion", feasible=len(kept) >= e.m - k, budget_exceeded=not complete,

@@ -672,9 +672,7 @@ def _mis_search(nbr, budget, stop_at=None, within=None):
     root every subtree that cannot reach `stop_at`, and a set that
     reaches it ends the search. A probe that does not reach `stop_at`
     returns an independent mask within `within` that need not be maximum
-    there. The clique cover is built in index order; callers search the
-    graph relabelled by ascending degree (`_by_degree`), where it tends
-    to need fewer cliques.
+    there. The clique cover is built in index order (see `_by_degree`).
 
     Returns (best_mask, complete, nodes); complete is False when the
     node budget ran out.
@@ -747,12 +745,23 @@ def _by_degree(g: UndirectedGraph) -> UndirectedGraph:
     return UndirectedGraph._from_masks([g.vertices[i] for i in order], masks)
 
 
+def _degree_ordered_search(g: UndirectedGraph):
+    """(h, search): `h` is `_by_degree(g)`, and search(pool, need, budget)
+    runs `_mis_search` over h's masks, looking in the vertex mask `pool`
+    for `need` independent vertices (None: as many as there can be)."""
+    h = _by_degree(g)
+
+    def search(pool: int, need: int | None, budget: int) -> tuple[int, bool, int]:
+        return _mis_search(h.adj, budget, stop_at=need, within=pool)
+    return h, search
+
+
 def maximum_independent_set(g: UndirectedGraph, budget=DEFAULT_BUDGET):
     """Exact maximum independent set, searched in ascending degree order.
     Returns (vertices in g's order, complete, nodes)."""
     budget = _count(budget, GraphError, "node budget")
-    h = _by_degree(g)
-    mask, complete, nodes = _mis_search(h.adj, budget)
+    h, search = _degree_ordered_search(g)
+    mask, complete, nodes = search((1 << len(h.vertices)) - 1, None, budget)
     best = sorted(g.index[h.vertices[i]] for i in _bits(mask))
     return tuple(g.vertices[i] for i in best), complete, nodes
 
