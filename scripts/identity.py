@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Compare the analysis results of this checkout with those of a git revision.
+"""Compare the analysis and Ramsey results of this checkout with those of a git revision.
 
 Usage: python3 scripts/identity.py --base REV
 
@@ -9,13 +9,15 @@ package names. Each copy builds the same instances, for seeds 1 to 10,
 with its own generators: Independent Set and Coloring reduction outputs
 of random graphs, trees and comparability graphs, and random elections
 of 2 to 8 voters. Both run candidate_deletion and candidate_partition on each at
-node budgets 0, 1, 10 and 10**7.
+node budgets 0, 1, 10 and 10**7, and ramsey_extract on each random election.
 
 Every difference in to_json_dict() other than nodes_explored is printed,
 then the node totals of each copy. A difference between two complete
 results (neither search ran out of budget) exits 1. A difference where a
 search ran out is listed only: the kept set of an incomplete deletion is
 whatever the first search found, and a faster search may find another.
+Ramsey extraction has no budget, so any difference in its kind or members
+is printed and exits 1.
 """
 import argparse
 import importlib
@@ -57,12 +59,17 @@ def instances(mc, seed: int):
         yield label, "deletion", e, k
         for colors in (3, 4):
             yield label, "partition", mc.reduce_coloring(g, colors), colors
-    for m, n in ELECTIONS:
-        e = gen.random_election(m, n, seed=seed)
-        label = f"election({m}, {n}, seed {seed})"
-        yield label, "deletion", e, m // 2
+    for label, e in elections(mc, seed):
+        yield label, "deletion", e, len(e.candidates) // 2
         for parts in (2, 3, 4):
             yield label, "partition", e, parts
+
+
+def elections(mc, seed: int):
+    """(label, election) of the random elections of the corpus for `seed`."""
+    gen = importlib.import_module(mc.__name__ + ".generate")
+    for m, n in ELECTIONS:
+        yield f"election({m}, {n}, seed {seed})", gen.random_election(m, n, seed=seed)
 
 
 def results(mc) -> list:
@@ -72,6 +79,13 @@ def results(mc) -> list:
             for seed in range(1, SEEDS + 1)
             for label, problem, e, k in instances(mc, seed)
             for budget in BUDGETS]
+
+
+def ramsey(mc) -> list:
+    """(label, {kind, members}) of ramsey_extract on every random election of the corpus."""
+    return [(label, vars(mc.ramsey_extract(e)))
+            for seed in range(1, SEEDS + 1)
+            for label, e in elections(mc, seed)]
 
 
 def main() -> int:
@@ -87,8 +101,10 @@ def main() -> int:
             print(archive.stderr.decode().strip(), file=sys.stderr)
             return 2
         subprocess.run(["tar", "-x", "-C", tmp], input=archive.stdout, check=True)
-        base = results(load(Path(tmp) / "src", "multicrossing_base"))
-    head = results(load(REPO / "src", "multicrossing_head"))
+        base_mc = load(Path(tmp) / "src", "multicrossing_base")
+        base, base_ramsey = results(base_mc), ramsey(base_mc)
+    head_mc = load(REPO / "src", "multicrossing_head")
+    head, head_ramsey = results(head_mc), ramsey(head_mc)
 
     nodes = {"base": {}, "head": {}}
     differences = complete_differences = 0
@@ -111,7 +127,14 @@ def main() -> int:
           f"{complete_differences} between complete results")
     for problem in ("deletion", "partition"):
         print(f"{problem} nodes: base {nodes['base'][problem]}, head {nodes['head'][problem]}")
-    return 1 if complete_differences else 0
+
+    ramsey_differences = 0
+    for (label, old), (_, new) in zip(base_ramsey, head_ramsey):
+        if old != new:
+            ramsey_differences += 1
+            print(f"ramsey on {label}: base {old!r}, head {new!r}")
+    print(f"{len(head_ramsey)} ramsey extractions, {ramsey_differences} differences")
+    return 1 if complete_differences or ramsey_differences else 0
 
 
 if __name__ == "__main__":

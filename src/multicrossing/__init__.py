@@ -5,6 +5,8 @@ that cross more than once, constructs elections implementing target
 graphs, recognises the relevant graph classes, and solves the Candidate
 Deletion and k-Candidate Partition closeness measures exactly.
 """
+from types import ModuleType as _ModuleType
+
 from .analysis import (
     AnalysisInputError,
     AnalysisResult,
@@ -61,5 +63,6 @@ from .graphs import (
     transitive_orientation,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name in dir()  # the public names, not the submodules
+           if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)]
 __version__ = "0.1.0"

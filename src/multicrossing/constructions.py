@@ -5,6 +5,7 @@ refuses to release a result that does not match the target exactly.
 """
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .elections import Election, multicrossing_graph, restrict
@@ -261,22 +262,22 @@ class RamseyExtract:
     members: tuple[str, ...]
 
 
-def _longest_monotone(values: list[int], decreasing: bool) -> list[int]:
-    """Indices of a longest increasing (or decreasing) subsequence, O(s^2)."""
-    n = len(values)
-    best_len = [1] * n
-    back = [-1] * n
-    for i in range(n):
-        for j in range(i):
-            ok = values[j] > values[i] if decreasing else values[j] < values[i]
-            if ok and best_len[j] + 1 > best_len[i]:
-                best_len[i] = best_len[j] + 1
-                back[i] = j
-    end = max(range(n), key=lambda i: best_len[i])
-    out = []
-    while end != -1:
-        out.append(end)
-        end = back[end]
+def _longest_increasing(values: list[int]) -> list[int]:
+    """Indices of a longest increasing subsequence of distinct values, by patience
+    sorting in O(s log s): piles[k] lists the indices that end a longest run of
+    length k + 1, and each links to the first smaller index on the pile before."""
+    piles: list[list[int]] = []
+    back = [-1] * len(values)
+    for i, x in enumerate(values):
+        p = bisect_left(piles, x, key=lambda pile: values[pile[-1]])
+        if p:
+            back[i] = piles[p - 1][bisect_right(piles[p - 1], -x, key=lambda j: -values[j])]
+        if p == len(piles):
+            piles.append([])
+        piles[p].append(i)
+    out = [piles[-1][0]]
+    while back[out[-1]] != -1:
+        out.append(back[out[-1]])
     return out[::-1]
 
 
@@ -289,23 +290,18 @@ def ramsey_extract(e: Election) -> RamseyExtract:
     size at least s^(1/2^(n-1)).
     """
     rank1 = {c: i for i, c in enumerate(e.votes[0])}
-    keep = list(e.votes[0])
+    keep = set(e.candidates)
     for vote in e.votes[1:]:
-        kset = set(keep)
-        seq = [c for c in vote if c in kset]
+        seq = [c for c in vote if c in keep]
         values = [rank1[c] for c in seq]
-        inc = _longest_monotone(values, decreasing=False)
-        dec = _longest_monotone(values, decreasing=True)
-        chosen = inc if len(inc) >= len(dec) else dec
-        keep = sorted((seq[i] for i in chosen), key=rank1.get)
-    members = tuple(sorted(keep, key=e.candidates.index))
-    if len(members) < 2:
-        return RamseyExtract("independent", members)
+        runs = [_longest_increasing(values), _longest_increasing([-x for x in values])]
+        keep = {seq[i] for i in max(runs, key=len)}  # the first longest: ties go to increasing
+    members = tuple(c for c in e.candidates if c in keep)
     gamma = multicrossing_graph(restrict(e, members))
     n_edges = sum(mask.bit_count() for mask in gamma.adj) // 2
     n_pairs = len(members) * (len(members) - 1) // 2
+    if n_edges == 0:  # also a single member
+        return RamseyExtract("independent", members)
     if n_edges == n_pairs:
         return RamseyExtract("clique", members)
-    if n_edges == 0:
-        return RamseyExtract("independent", members)
     raise ConstructionError("extracted set is neither a clique nor independent")

@@ -1,8 +1,7 @@
 """Acceptance gate: ten end-to-end criteria, one printed verdict each.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the verdict
-lines inline; criterion 5 is the heavy exhaustive sweep and carries the
-``slow`` marker.
+lines inline.
 """
 import math
 import random
@@ -11,7 +10,6 @@ from contextlib import contextmanager
 from itertools import combinations
 
 import numpy as np
-import pytest
 
 from multicrossing import (
     Election,
@@ -124,7 +122,6 @@ def test_criterion_4_fully_single_crossing_properties():
             assert swaps == m * (m - 1) // 2
 
 
-@pytest.mark.slow
 def test_criterion_5_three_implementability_sweep():
     with criterion(5, "3-implementable => comparability over all 5-vertex graphs"):
         names = [str(i) for i in range(1, 6)]

@@ -2,9 +2,11 @@
 import json
 from itertools import combinations
 from random import Random
+from types import ModuleType
 
 import pytest
 
+import multicrossing
 from multicrossing import (
     Election,
     UndirectedGraph,
@@ -279,6 +281,12 @@ def test_ramsey(capsys, fixture_path):
     kind, _, members = out.partition(": ")
     assert kind in ("clique", "independent")
     assert members.split()
+
+
+def test_star_import_binds_no_submodule():
+    modules = [name for name in multicrossing.__all__
+               if isinstance(getattr(multicrossing, name), ModuleType)]
+    assert modules == []
 
 
 def test_generators_deterministic(capsys):

@@ -311,3 +311,52 @@ def test_ramsey_extract_verified(n, seed):
     else:
         assert extracted.kind == "independent"
         assert not any(g.has_edge(a, b) for a, b in pairs)
+
+
+def longest_monotone(values, decreasing):
+    """The quadratic DP that `_longest_increasing` replaced: the reference for
+    which longest run it returns, not just its length."""
+    n = len(values)
+    best_len = [1] * n
+    back = [-1] * n
+    for i in range(n):
+        for j in range(i):
+            ok = values[j] > values[i] if decreasing else values[j] < values[i]
+            if ok and best_len[j] + 1 > best_len[i]:
+                best_len[i] = best_len[j] + 1
+                back[i] = j
+    end = max(range(n), key=lambda i: best_len[i])
+    out = []
+    while end != -1:
+        out.append(end)
+        end = back[end]
+    return out[::-1]
+
+
+@given(st.lists(st.integers(), min_size=1, max_size=60, unique=True))
+@settings(max_examples=300, deadline=None)
+def test_longest_increasing_picks_the_dp_run(values):
+    longest_increasing = constructions._longest_increasing
+    assert longest_increasing(values) == longest_monotone(values, decreasing=False)
+    negated = [-x for x in values]
+    assert longest_increasing(negated) == longest_monotone(values, decreasing=True)
+
+
+# ramsey_extract(random_election(2000, n, seed=1)) as the quadratic DP returned it
+RAMSEY_PINS = {
+    2: ("independent", """
+        23 29 57 76 107 108 125 141 198 202 265 290 343 363 372 386 399 420 431 465 504
+        532 538 579 587 657 688 697 705 715 748 853 876 899 903 915 934 948 962 983 999
+        1023 1059 1060 1075 1077 1080 1083 1131 1148 1174 1195 1216 1281 1380 1381 1402
+        1437 1499 1519 1530 1531 1639 1660 1684 1708 1710 1721 1788 1789 1801 1804 1818
+        1830 1843 1845 1849 1850 1893 1909 1930 1958 1991"""),
+    3: ("independent", "108 125 587 657 748 903 948 1059 1402 1437 1639 1845 1850 1909 1991"),
+    5: ("clique", "587 657 1402 1845 1991"),
+}
+
+
+@pytest.mark.parametrize("n", sorted(RAMSEY_PINS))
+def test_ramsey_extract_members_pinned(n):
+    extracted = ramsey_extract(random_election(2000, n, seed=1))
+    kind, members = RAMSEY_PINS[n]
+    assert (extracted.kind, extracted.members) == (kind, tuple(members.split()))
