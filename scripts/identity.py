@@ -9,15 +9,17 @@ package names. Each copy builds the same instances, for seeds 1 to 10,
 with its own generators: Independent Set and Coloring reduction outputs
 of random graphs, trees and comparability graphs, and random elections
 of 2 to 8 voters. Both run candidate_deletion and candidate_partition on each at
-node budgets 0, 1, 10 and 10**7, and ramsey_extract on each random election.
+node budgets 0, 1, 10 and 10**7, ramsey_extract on each random election, and
+transitive_orientation and recognize_permutation on each graph and its complement.
 
 Every difference in to_json_dict() other than nodes_explored is printed,
 then the node totals of each copy. A difference between two complete
 results (neither search ran out of budget) exits 1. A difference where a
 search ran out is listed only: the kept set of an incomplete deletion is
 whatever the first search found, and a faster search may find another.
-Ramsey extraction has no budget, so any difference in its kind or members
-is printed and exits 1.
+Ramsey extraction and recognition have no budget, so any difference in the
+extracted kind or members, the orientation's arcs or the diagram is printed
+and exits 1.
 """
 import argparse
 import importlib
@@ -33,7 +35,7 @@ BUDGETS = (0, 1, 10, 10**7)
 # (generator, vertex count, edge probability) of the reduction outputs
 GRAPHS = [("graph", 12, 0.3), ("graph", 20, 0.2), ("graph", 30, 0.3), ("graph", 45, 0.15),
           ("graph", 60, 0.1), ("graph", 80, 0.1), ("tree", 40, None), ("poset", 25, 0.2)]
-ELECTIONS = [(10, 2), (25, 3), (40, 3), (12, 5), (20, 8), (30, 6)]  # (candidates, voters)
+ELECTIONS = [(10, 2), (25, 3), (40, 3), (150, 3), (12, 5), (20, 8), (30, 6)]  # (candidates, voters)
 
 
 def load(src: Path, name: str):
@@ -47,14 +49,20 @@ def load(src: Path, name: str):
     return module
 
 
-def instances(mc, seed: int):
-    """(label, problem, election, k) of the corpus for `seed`, built by package `mc`."""
+def graphs(mc, seed: int):
+    """(label, graph) of the graphs of the corpus for `seed`, built by package `mc`."""
     gen = importlib.import_module(mc.__name__ + ".generate")
     for kind, v, p in GRAPHS:
         g = (gen.random_tree(v, seed=seed) if kind == "tree" else
              gen.random_comparability_graph(v, p, seed=seed) if kind == "poset" else
              gen.random_graph(v, p, seed=seed))
-        label = f"{kind}({v}, {p}, seed {seed})"
+        yield f"{kind}({v}, {p}, seed {seed})", g
+
+
+def instances(mc, seed: int):
+    """(label, problem, election, k) of the corpus for `seed`, built by package `mc`."""
+    for label, g in graphs(mc, seed):
+        v = len(g.vertices)
         e, k = mc.reduce_independent_set(g, v // 3)
         yield label, "deletion", e, k
         for colors in (3, 4):
@@ -88,6 +96,18 @@ def ramsey(mc) -> list:
             for label, e in elections(mc, seed)]
 
 
+def recognition(mc) -> list:
+    """(label, {arcs, diagram}) of transitive_orientation and recognize_permutation
+    on every graph of the corpus and its complement."""
+    out = []
+    for seed in range(1, SEEDS + 1):
+        for label, g in graphs(mc, seed):
+            for side, h in ((label, g), (f"complement of {label}", g.complement())):
+                o, d = mc.transitive_orientation(h), mc.recognize_permutation(h)
+                out.append((side, {"arcs": o and sorted(o.arcs), "diagram": d and (d.pi1, d.pi2)}))
+    return out
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -102,9 +122,11 @@ def main() -> int:
             return 2
         subprocess.run(["tar", "-x", "-C", tmp], input=archive.stdout, check=True)
         base_mc = load(Path(tmp) / "src", "multicrossing_base")
-        base, base_ramsey = results(base_mc), ramsey(base_mc)
+        base, base_exact = results(base_mc), {"ramsey": ramsey(base_mc),
+                                              "recognition": recognition(base_mc)}
     head_mc = load(REPO / "src", "multicrossing_head")
-    head, head_ramsey = results(head_mc), ramsey(head_mc)
+    head, head_exact = results(head_mc), {"ramsey": ramsey(head_mc),
+                                          "recognition": recognition(head_mc)}
 
     nodes = {"base": {}, "head": {}}
     differences = complete_differences = 0
@@ -128,13 +150,16 @@ def main() -> int:
     for problem in ("deletion", "partition"):
         print(f"{problem} nodes: base {nodes['base'][problem]}, head {nodes['head'][problem]}")
 
-    ramsey_differences = 0
-    for (label, old), (_, new) in zip(base_ramsey, head_ramsey):
-        if old != new:
-            ramsey_differences += 1
-            print(f"ramsey on {label}: base {old!r}, head {new!r}")
-    print(f"{len(head_ramsey)} ramsey extractions, {ramsey_differences} differences")
-    return 1 if complete_differences or ramsey_differences else 0
+    exact_differences = 0
+    for kind, runs in head_exact.items():
+        kind_differences = 0
+        for (label, old), (_, new) in zip(base_exact[kind], runs):
+            if old != new:
+                kind_differences += 1
+                print(f"{kind} on {label}: base {old!r}, head {new!r}")
+        print(f"{len(runs)} {kind} runs, {kind_differences} differences")
+        exact_differences += kind_differences
+    return 1 if complete_differences or exact_differences else 0
 
 
 if __name__ == "__main__":

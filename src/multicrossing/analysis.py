@@ -17,8 +17,10 @@ from .graphs import (
     UndirectedGraph,
     _antichain,
     _bits,
+    _chains,
     _count,
     _degree_ordered_search,
+    _greedy_matching,
     _kuhn_matching,
     _later,
     exact_coloring,
@@ -88,9 +90,11 @@ def _lexmin_max_independent_set(gamma: UndirectedGraph, search,
     False when the budget ran out. The search of all the vertices gives
     the size and the first witness: the mask of a maximum set whose members
     not yet visited extend the current choice. Greedy over sorted names, a
-    candidate in the witness joins with no search. Any other one joins when
-    a search of the later, compatible candidates finds `need` (>= 1) of
-    them, and that find becomes the witness. Each search draws on what the
+    candidate in the witness joins with no search, and so does one with
+    exactly one neighbour among the witness members not yet visited: trading
+    that neighbour for it keeps a maximum set. Any other one joins when a
+    search of the later, compatible candidates finds `need` (>= 1) of them,
+    and that find becomes the witness. Each search draws on what the
     earlier ones left of `budget`. Returns (kept, complete, nodes); after
     an incomplete search, kept is the first search's set in name order.
     """
@@ -107,8 +111,9 @@ def _lexmin_max_independent_set(gamma: UndirectedGraph, search,
         later ^= bit
         if blocked & bit:
             continue
-        need = size - len(chosen) - 1
-        if not witness & bit and need > 0:
+        near = adj[c] & witness & later
+        if near & (near - 1):  # two or more witness neighbours: search
+            need = size - len(chosen) - 1
             pool = later & ~(blocked | adj[c])
             if pool.bit_count() < need:
                 continue
@@ -117,6 +122,8 @@ def _lexmin_max_independent_set(gamma: UndirectedGraph, search,
             if found.bit_count() < need:
                 continue
             witness = found
+        else:
+            witness &= ~near
         chosen.append(vs[c])
         blocked |= adj[c]
     if not complete:
@@ -141,10 +148,16 @@ def candidate_deletion(e: Election, k: int, budget: int = DEFAULT_BUDGET) -> Ana
     if e.n <= 3:
         method = "three-voter-poly"
         o = _vote1_orientation(e, gamma)
-        # a maximum matching of the whole poset: each search resumes from its pairs in the pool
-        start, _ = _kuhn_matching(o.succ, (1 << e.m) - 1)
+        # a maximum matching of the whole poset, from a greedy one down vote 1: each
+        # search resumes from its pairs in the pool
+        order = [gamma.index[c] for c in e.votes[0]]
+        start, _ = _kuhn_matching(o.succ, (1 << e.m) - 1, _greedy_matching(o.succ, order))
+        # its chains cover the poset, and an antichain meets each chain at most once
+        chains = [sum(1 << v for v in chain) for chain in _chains(start, e.m)]
 
         def search(pool: int, need: int | None, budget: int) -> tuple[int, bool, int]:
+            if need is not None and sum(1 for chain in chains if chain & pool) < need:
+                return 0, True, 0  # refuted by the chain cover, with no matching
             return _antichain(o, pool, start), True, 0  # a maximum antichain, at no node
     else:
         method = "general-exact"

@@ -385,7 +385,7 @@ def _force_class(u: int, v: int, rem) -> dict[int, int] | None:
     An arc (a,b) forces (a,c) for each neighbour c of a that is neither b
     nor a neighbour of b; by symmetry it forces (c,b) for each such
     neighbour c of b. Returns None on a conflict (some edge forced in
-    both directions).
+    both directions). An arc that forces nothing new costs one mask test.
     """
     fwd, bwd = {u: 1 << v}, {v: 1 << u}  # the class's arcs out of and into each vertex
     stack = [(u, v)]
@@ -396,6 +396,8 @@ def _force_class(u: int, v: int, rem) -> dict[int, int] | None:
             if new & into.get(x, 0):
                 return None
             new &= ~out.get(x, 0)
+            if not new:
+                continue
             out[x] = out.get(x, 0) | new
             for c in _bits(new):
                 into[c] = into.get(c, 0) | 1 << x
@@ -552,11 +554,10 @@ def max_antichain(o: Orientation) -> tuple[str, ...]:
     return tuple(vs[i] for i in _bits(_antichain(o, (1 << len(vs)) - 1)))
 
 
-def minimum_chain_cover(o: Orientation) -> list[list[str]]:
-    """A partition of the poset into the minimum number of chains."""
-    _require_verified(o)
-    succ, n = o.succ, len(o.succ)
-    match_r, _ = _kuhn_matching(succ, (1 << n) - 1)
+def _chains(match_r: dict[int, int], n: int) -> list[list[int]]:
+    """The chains that the pairs of a maximum matching `match_r` over the
+    vertices 0..n-1 link, each from its vertex with no matched predecessor,
+    in index order of those vertices: a minimum chain cover (Dilworth)."""
     nxt = {u: v for v, u in match_r.items()}
     chains = []
     for v in range(n):
@@ -565,6 +566,32 @@ def minimum_chain_cover(o: Orientation) -> list[list[str]]:
             while chain[-1] in nxt:
                 chain.append(nxt[chain[-1]])
             chains.append(chain)
+    return chains
+
+
+def _greedy_matching(succ, order) -> dict[int, int]:
+    """A matching (right vertex -> left vertex, as `_kuhn_matching` takes
+    it) of the orientation `succ` to start a search from. `order` is a
+    topological order; walking it from the bottom, each vertex is matched
+    to its free successor that comes first in `order`."""
+    match_r, free = {}, 0  # free: the positions in `order` not yet matched as right vertices
+    rows = _pack_rows(_unpack_rows(succ)[np.ix_(order, order)])  # succ by position
+    for p in range(len(order) - 1, -1, -1):
+        near = rows[p] & free
+        if near:
+            low = near & -near
+            match_r[order[low.bit_length() - 1]] = order[p]
+            free ^= low
+        free |= 1 << p
+    return match_r
+
+
+def minimum_chain_cover(o: Orientation) -> list[list[str]]:
+    """A partition of the poset into the minimum number of chains."""
+    _require_verified(o)
+    succ, n = o.succ, len(o.succ)
+    match_r, _ = _kuhn_matching(succ, (1 << n) - 1)
+    chains = _chains(match_r, n)
     if sorted(v for chain in chains for v in chain) != list(range(n)):
         raise RuntimeError("chain cover does not partition the vertex set")
     if any(not succ[a] >> b & 1 for chain in chains for a, b in zip(chain, chain[1:])):
@@ -577,17 +604,27 @@ def mirsky_coloring(o: Orientation) -> tuple[dict[str, int], int]:
     """Color each vertex by the length of the longest chain ending at it.
 
     The color count equals the longest chain length, which for a
-    comparability graph is the chromatic number.
+    comparability graph is the chromatic number. In a topological order,
+    a vertex's height is one more than the highest level (the mask of the
+    vertices of one height so far) that its predecessors meet, found by
+    scanning the levels down from the top; with no predecessor it is 1.
     """
     _require_verified(o)
-    succ = o.succ
-    height = [1] * len(succ)
+    adj, succ = o.base.adj, o.succ
+    height = [0] * len(succ)
+    levels: list[int] = []  # levels[h]: the vertices of height h + 1 placed so far
     # an arc (u,v) of a transitive orientation has succ(v) ⊊ succ(u), so
     # decreasing successor count is a topological order
-    for u in sorted(range(len(succ)), key=lambda i: succ[i].bit_count(), reverse=True):
-        for v in _bits(succ[u]):
-            height[v] = max(height[v], height[u] + 1)
-    return dict(zip(o.base.vertices, height)), max(height)
+    for v in sorted(range(len(succ)), key=lambda i: succ[i].bit_count(), reverse=True):
+        pred = adj[v] & ~succ[v]
+        h = len(levels) if pred else 0
+        while h and not levels[h - 1] & pred:
+            h -= 1
+        if h == len(levels):
+            levels.append(0)
+        levels[h] |= 1 << v
+        height[v] = h + 1
+    return dict(zip(o.base.vertices, height)), len(levels)
 
 
 def is_bipartite(g: UndirectedGraph):

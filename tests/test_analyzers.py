@@ -11,6 +11,7 @@ from multicrossing import (
     Election,
     ElectionError,
     GraphError,
+    UndirectedGraph,
     candidate_deletion,
     candidate_partition,
     exact_coloring,
@@ -24,9 +25,11 @@ from multicrossing import (
     is_single_crossing,
     maximum_independent_set,
 )
+from multicrossing import analysis, graphs
 from multicrossing import bruteforce as bf
 from multicrossing.analysis import _lexmin_max_independent_set, _vote1_orientation
 from multicrossing.constructions import (
+    cycle_graph,
     implement_clique,
     implement_even_cycle,
     implement_tree,
@@ -202,21 +205,27 @@ def test_refinement_skips_the_witness_members():
     def mask(names):
         return sum(1 << gamma.index[v] for v in names)
 
-    def kept_from(witness):
-        search, calls = counting_search(gamma, mask(witness))
-        kept, complete, _ = _lexmin_max_independent_set(gamma, search, DEFAULT_BUDGET)
+    def kept_from(witness, graph=gamma):
+        search, calls = counting_search(graph, mask(witness))
+        kept, complete, _ = _lexmin_max_independent_set(graph, search, DEFAULT_BUDGET)
         assert complete
         return kept, calls
 
     assert kept_from("135") == (("1", "3", "5"), [])  # the witness already is the lexmin set
-    # 1 is in the witness and joins unsearched; 3 is not, and its pool is {5, 6}
-    assert kept_from("146") == (("1", "3", "5"), [(mask("56"), 1)])
-    # the find {3,5} carries 3 and 5
-    assert kept_from("246") == (("1", "3", "5"), [(mask("3456"), 2)])
+    # 1 is in the witness and joins unsearched; 3 is not, but of the witness
+    # only 4 is its neighbour, so 3 takes 4's place, and 5 then takes 6's
+    assert kept_from("146") == (("1", "3", "5"), [])
+    # 1 swaps with 2, and the chain of swaps goes on
+    assert kept_from("246") == (("1", "3", "5"), [])
+    # on the cycle 1-2-3-4, 1 has two witness neighbours, so a probe looks for one of {3}
+    gamma = cycle_graph(4)  # maximum sets: {1,3} {2,4}
+    assert kept_from("24", gamma) == (("1", "3"), [(mask("3"), 1)])
 
 
 def test_refinement_out_of_budget_keeps_the_first_set():
-    gamma = path_graph(8)
+    # the cycles 1-2-3-4 and 5-6-7-8, where 1 and 5 have two witness neighbours
+    names = [str(i) for i in range(1, 9)]
+    gamma = UndirectedGraph(names, [(a, b) for a, b in zip(names, "23416785")])
 
     def mask(names):
         return sum(1 << gamma.index[v] for v in names)
@@ -261,6 +270,37 @@ def test_refinement_same_for_poset_and_exact_search(e):
     assert complete and nodes == 0
     assert _lexmin_max_independent_set(gamma, exact, DEFAULT_BUDGET)[:2] == (kept, True)
     assert candidate_deletion(e, 0).kept == kept
+
+
+def test_chain_cover_refutes_a_probe_without_a_matching(monkeypatch):
+    # γ: 1-3 1-4 1-6 2-3 2-4 2-5 2-6 5-6, first witness {3,4,5}. 1 has two
+    # witness neighbours, so it needs two of {2, 5}; both lie on the chain
+    # 6 > 5 > 2 of the vote-1 cover, so that probe fails at once
+    e = Election(list("123456"), [list("346152"), list("123564"), list("365412")])
+    matchings, probes = [], []
+    kuhn = graphs._kuhn_matching
+
+    def counting_kuhn(*args):
+        matchings.append(args)
+        return kuhn(*args)
+
+    for module in (graphs, analysis):
+        monkeypatch.setattr(module, "_kuhn_matching", counting_kuhn)
+    driver = analysis._lexmin_max_independent_set
+
+    def logging_driver(gamma, search, budget):
+        def logged(pool, need, budget):
+            before = len(matchings)
+            found, complete, nodes = search(pool, need, budget)
+            probes.append((need, found.bit_count(), len(matchings) - before))
+            return found, complete, nodes
+        return driver(gamma, logged, budget)
+
+    monkeypatch.setattr(analysis, "_lexmin_max_independent_set", logging_driver)
+    assert candidate_deletion(e, 0).kept == lexmin_oracle(multicrossing_graph(e)) == ("3", "4", "5")
+    # the full matching and the first antichain; the probe is short and ran no matching
+    assert len(matchings) == 2
+    assert probes[1:] == [(2, 0, 0)]
 
 
 def test_deletion_decided_on_g80():

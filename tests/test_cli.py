@@ -219,7 +219,7 @@ def test_analyze_general_deletion_kept_matches_fixture(capsys, tmp_path, fixture
     election.write_text(out, encoding="utf-8")
     code, out, _ = run(capsys, "analyze", "deletion", str(election), "--k", "63")
     assert code == 0
-    assert out == fixture_text("random80x4.deletion")  # general-exact, optimal, 105 nodes
+    assert out == fixture_text("random80x4.deletion")  # general-exact, optimal, 104 nodes
 
 
 def test_analyze_budget_exceeded_exit_3(capsys, fixture_path):

@@ -42,6 +42,8 @@ from multicrossing.graphs import (
     _antichain,
     _bits,
     _by_degree,
+    _chains,
+    _greedy_matching,
     _kuhn_matching,
     _mis_search,
 )
@@ -522,6 +524,38 @@ def test_mirsky_coloring_is_optimal(g):
     for u, v in g.edges:
         assert heights[u] != heights[v]
     assert chi == bf.bf_chromatic(g)[0]
+
+
+def mirsky_reference(o):
+    """Chain heights by relaxing each arc once, in decreasing successor count."""
+    succ = o.succ
+    height = [1] * len(succ)
+    for u in sorted(range(len(succ)), key=lambda i: succ[i].bit_count(), reverse=True):
+        for v in _bits(succ[u]):
+            height[v] = max(height[v], height[u] + 1)
+    return dict(zip(o.base.vertices, height)), max(height)
+
+
+@given(transitive_orientations(max_v=40))
+@settings(max_examples=150, deadline=None)
+def test_mirsky_heights_from_level_masks_match_the_arc_relaxation(o):
+    assert mirsky_coloring(o) == mirsky_reference(o)
+
+
+@given(transitive_orientations())
+@settings(max_examples=100, deadline=None)
+def test_greedy_matching_is_a_matching_that_kuhn_completes(o):
+    n = len(o.succ)
+    # decreasing successor count is a topological order of a transitive orientation
+    order = sorted(range(n), key=lambda i: o.succ[i].bit_count(), reverse=True)
+    greedy = _greedy_matching(o.succ, order)
+    assert len(set(greedy.values())) == len(greedy)
+    assert all(o.succ[u] >> v & 1 for v, u in greedy.items())
+    match_r, _ = _kuhn_matching(o.succ, (1 << n) - 1, greedy)
+    assert len(match_r) == len(_kuhn_matching(o.succ, (1 << n) - 1)[0])
+    chains = _chains(match_r, n)
+    assert len(chains) == len(max_antichain(o))
+    assert sorted(v for chain in chains for v in chain) == list(range(n))
 
 
 def test_matching_paths_longer_than_recursion_limit():
