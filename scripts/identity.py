@@ -102,10 +102,15 @@ def recognition(mc) -> list:
     out = []
     for seed in range(1, SEEDS + 1):
         for label, g in graphs(mc, seed):
-            for side, h in ((label, g), (f"complement of {label}", g.complement())):
+            for name, h in ((label, g), (f"complement of {label}", g.complement())):
                 o, d = mc.transitive_orientation(h), mc.recognize_permutation(h)
-                out.append((side, {"arcs": o and sorted(o.arcs), "diagram": d and (d.pi1, d.pi2)}))
+                out.append((name, {"arcs": o and sorted(o.arcs), "diagram": d and (d.pi1, d.pi2)}))
     return out
+
+
+def unbudgeted(mc) -> dict:
+    """The runs that take no node budget, by kind: any difference in them is a failure."""
+    return {"ramsey": ramsey(mc), "recognition": recognition(mc)}
 
 
 def main() -> int:
@@ -122,11 +127,9 @@ def main() -> int:
             return 2
         subprocess.run(["tar", "-x", "-C", tmp], input=archive.stdout, check=True)
         base_mc = load(Path(tmp) / "src", "multicrossing_base")
-        base, base_exact = results(base_mc), {"ramsey": ramsey(base_mc),
-                                              "recognition": recognition(base_mc)}
+        base, base_unbudgeted = results(base_mc), unbudgeted(base_mc)
     head_mc = load(REPO / "src", "multicrossing_head")
-    head, head_exact = results(head_mc), {"ramsey": ramsey(head_mc),
-                                          "recognition": recognition(head_mc)}
+    head, head_unbudgeted = results(head_mc), unbudgeted(head_mc)
 
     nodes = {"base": {}, "head": {}}
     differences = complete_differences = 0
@@ -150,16 +153,16 @@ def main() -> int:
     for problem in ("deletion", "partition"):
         print(f"{problem} nodes: base {nodes['base'][problem]}, head {nodes['head'][problem]}")
 
-    exact_differences = 0
-    for kind, runs in head_exact.items():
+    unbudgeted_differences = 0
+    for kind, runs in head_unbudgeted.items():
         kind_differences = 0
-        for (label, old), (_, new) in zip(base_exact[kind], runs):
+        for (label, old), (_, new) in zip(base_unbudgeted[kind], runs):
             if old != new:
                 kind_differences += 1
                 print(f"{kind} on {label}: base {old!r}, head {new!r}")
         print(f"{len(runs)} {kind} runs, {kind_differences} differences")
-        exact_differences += kind_differences
-    return 1 if complete_differences or exact_differences else 0
+        unbudgeted_differences += kind_differences
+    return 1 if complete_differences or unbudgeted_differences else 0
 
 
 if __name__ == "__main__":

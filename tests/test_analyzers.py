@@ -205,9 +205,9 @@ def test_refinement_skips_the_witness_members():
     def mask(names):
         return sum(1 << gamma.index[v] for v in names)
 
-    def kept_from(witness, graph=gamma):
-        search, calls = counting_search(graph, mask(witness))
-        kept, complete, _ = _lexmin_max_independent_set(graph, search, DEFAULT_BUDGET)
+    def kept_from(witness):
+        search, calls = counting_search(gamma, mask(witness))
+        kept, complete, _ = _lexmin_max_independent_set(gamma, search, DEFAULT_BUDGET)
         assert complete
         return kept, calls
 
@@ -219,7 +219,7 @@ def test_refinement_skips_the_witness_members():
     assert kept_from("246") == (("1", "3", "5"), [])
     # on the cycle 1-2-3-4, 1 has two witness neighbours, so a probe looks for one of {3}
     gamma = cycle_graph(4)  # maximum sets: {1,3} {2,4}
-    assert kept_from("24", gamma) == (("1", "3"), [(mask("3"), 1)])
+    assert kept_from("24") == (("1", "3"), [(mask("3"), 1)])
 
 
 def test_refinement_out_of_budget_keeps_the_first_set():
