@@ -21,6 +21,7 @@ from .graphs import (
     _count,
     _degree_ordered_search,
     _greedy_matching,
+    _instance,
     _kuhn_matching,
     _later,
     exact_coloring,
@@ -142,6 +143,7 @@ def candidate_deletion(e: Election, k: int, budget: int = DEFAULT_BUDGET) -> Ana
     general path `budget` bounds the nodes of the whole analysis, that
     refinement included, and `nodes_explored` counts them all.
     """
+    _instance(e, Election, AnalysisInputError, "election")
     _count(k, AnalysisInputError, "deletion budget")
     _count(budget, AnalysisInputError, "node budget")
     gamma = multicrossing_graph(e)
@@ -184,6 +186,7 @@ def candidate_partition(e: Election, k: int, budget: int = DEFAULT_BUDGET) -> An
     bipartiteness, at most 3 voters via the Mirsky chain-height
     coloring, otherwise exact backtracking.
     """
+    _instance(e, Election, AnalysisInputError, "election")
     _count(k, AnalysisInputError, "number of parts", 1)
     _count(budget, AnalysisInputError, "node budget")
     gamma = multicrossing_graph(e)
@@ -210,6 +213,7 @@ def candidate_partition(e: Election, k: int, budget: int = DEFAULT_BUDGET) -> An
 def reduce_independent_set(g: UndirectedGraph, t: int) -> tuple[Election, int]:
     """Independent Set instance -> Candidate Deletion instance: an
     independent set of t vertices is a deletion of |V| - t candidates."""
+    _instance(g, UndirectedGraph, AnalysisInputError, "graph")
     if _count(t, AnalysisInputError, "independent set size") > len(g.vertices):
         raise AnalysisInputError(
             f"independent set size must be at most the vertex count {len(g.vertices)}, got {t!r}")
@@ -219,5 +223,6 @@ def reduce_independent_set(g: UndirectedGraph, t: int) -> tuple[Election, int]:
 def reduce_coloring(g: UndirectedGraph, k: int) -> Election:
     """k-Coloring instance -> k-Candidate Partition instance; the part
     count carries over unchanged."""
+    _instance(g, UndirectedGraph, AnalysisInputError, "graph")
     _count(k, AnalysisInputError, "number of colors", 1)
     return implement_general(g).election

@@ -48,6 +48,13 @@ def _count(x, error, what, minimum=0) -> int:
     raise error(f"{what} must be an integer >= {minimum}, got {x!r}")
 
 
+def _instance(x, cls, error, what):
+    """Raise `error` naming `what` unless `x` is a `cls`, rather than the
+    AttributeError its first use would raise."""
+    if not isinstance(x, cls):
+        raise error(f"{what} must be of type {cls.__name__}, got {x!r}")
+
+
 def _int_names(count: int) -> list[str]:
     return [str(i) for i in range(1, count + 1)]
 
@@ -124,6 +131,12 @@ def _unpack_rows(masks) -> np.ndarray:
     width = (size + 7) // 8
     packed = np.frombuffer(b"".join(mask.to_bytes(width, "little") for mask in masks), np.uint8)
     return np.unpackbits(packed.reshape(size, width), axis=1, count=size, bitorder="little")
+
+
+def _relabel(masks, order) -> list[int]:
+    """`masks` with the vertices renumbered by position in `order`: row p
+    and its bit q are row order[p] and its bit order[q] of `masks`."""
+    return _pack_rows(_unpack_rows(masks)[np.ix_(order, order)])
 
 
 def _bit_pairs(masks, names=None, upper=False):
@@ -575,7 +588,7 @@ def _greedy_matching(succ, order) -> dict[int, int]:
     topological order; walking it from the bottom, each vertex is matched
     to its free successor that comes first in `order`."""
     match_r, free = {}, 0  # free: the positions in `order` not yet matched as right vertices
-    rows = _pack_rows(_unpack_rows(succ)[np.ix_(order, order)])  # succ by position
+    rows = _relabel(succ, order)  # succ by position
     for p in range(len(order) - 1, -1, -1):
         near = rows[p] & free
         if near:
@@ -696,13 +709,15 @@ def _mis_search(nbr, budget, stop_at=None, within=None):
        maximum set among the available vertices contains it; its
        neighbours are dropped and their neighbours join the worklist. A
        fold chain so costs one step per vertex whatever its index order.
-    2. The node is pruned when |chosen| + |available|, or |chosen| plus
-       the size of a greedy clique cover of the available vertices (an
-       independent set has at most one vertex per clique; Tomita & Seki,
-       DMTCS 2003), cannot beat the best set so far.
-    3. Otherwise, and only then, it looks for the highest-degree available
-       vertex (lowest index on ties) and branches on it, taking it before
-       leaving it out.
+    2. With room = |best| - |chosen|, the node is pruned when the
+       available vertices number at most `room`, or when `room` greedy
+       cliques cover them (an independent set has at most one vertex per
+       clique; Tomita & Seki, DMTCS 2003).
+    3. Otherwise a set that beats the best holds an available vertex
+       outside those `room` cliques, so the branch vertex is picked among
+       these (Tomita & Seki; San Segundo et al., Computers & OR 38(2),
+       2011): the one of highest available degree, lowest index on ties.
+       The search takes it before it leaves it out.
 
     With `stop_at` the search is a decision probe: it starts as if a set
     of `stop_at` - 1 vertices were known, so the bounds prune from the
@@ -741,17 +756,17 @@ def _mis_search(nbr, budget, stop_at=None, within=None):
         room = best_size - cur_size  # the most cliques a cover may have and still prune
         if avail == 0 or avail.bit_count() <= room:
             continue
-        cliques, rest = 0, avail
-        while rest and cliques <= room:
+        cliques, rest = 0, avail  # rest: the available vertices outside the cliques
+        while rest and cliques < room:
             cliques += 1
             grow = rest
             while grow:
                 low = grow & -grow
                 rest ^= low
                 grow &= nbr[low.bit_length() - 1]
-        if cliques <= room:
+        if not rest:
             continue
-        pick_deg, rest = -1, avail
+        pick_deg = -1
         while rest:
             low = rest & -rest
             rest ^= low
@@ -775,11 +790,7 @@ def _by_degree(g: UndirectedGraph) -> UndirectedGraph:
     in this order it tends to need fewer cliques."""
     adj = g.adj
     order = sorted(range(len(adj)), key=lambda i: adj[i].bit_count())
-    bit = [0] * len(adj)  # bit[i]: the bit of vertex i in the new order
-    for new, old in enumerate(order):
-        bit[old] = 1 << new
-    masks = [sum(map(bit.__getitem__, _bits(adj[old]))) for old in order]
-    return UndirectedGraph._from_masks([g.vertices[i] for i in order], masks)
+    return UndirectedGraph._from_masks([g.vertices[i] for i in order], _relabel(adj, order))
 
 
 def _degree_ordered_search(g: UndirectedGraph):
@@ -796,6 +807,7 @@ def _degree_ordered_search(g: UndirectedGraph):
 def maximum_independent_set(g: UndirectedGraph, budget=DEFAULT_BUDGET):
     """Exact maximum independent set, searched in ascending degree order.
     Returns (vertices in g's order, complete, nodes)."""
+    _instance(g, UndirectedGraph, GraphError, "graph")
     budget = _count(budget, GraphError, "node budget")
     h, search = _degree_ordered_search(g)
     mask, complete, nodes = search((1 << len(h.vertices)) - 1, None, budget)
@@ -815,6 +827,7 @@ def exact_coloring(g: UndirectedGraph, k: int, budget=DEFAULT_BUDGET) -> SolveRe
     clique gives a quick lower-bound refusal. Each step to a new vertex
     counts one node.
     """
+    _instance(g, UndirectedGraph, GraphError, "graph")
     _count(k, GraphError, "number of colors", 1)
     _count(budget, GraphError, "node budget")
     adj = g.adj

@@ -313,11 +313,11 @@ def test_deletion_decided_on_g80():
 
 
 def test_deletion_decided_on_g110():
-    # Independent Set on G(110, 0.1, seed 1): 55 101 nodes in index order with
-    # degree-0/1 folds only, within 50 000 with the ascending-degree order, the
-    # triangle fold and probes that prune from the root
+    # Independent Set on G(110, 0.1, seed 1): within 20 000 nodes only when the
+    # search branches outside the clique cover's first `room` cliques (28 420
+    # when it branches among all available vertices)
     e, k = reduce_independent_set(random_graph(110, 0.1, seed=1), 33)
-    result = candidate_deletion(e, k, budget=50_000)
+    result = candidate_deletion(e, k, budget=20_000)
     assert result.optimal and not result.budget_exceeded
     assert len(result.kept) == 33 and result.feasible
 
@@ -407,6 +407,26 @@ def test_every_count_is_an_integer_at_least_its_minimum(fixture_text):
                 call(bad)
             assert str(info.value).endswith(f"must be an integer >= {minimum}, got {bad!r}")
         call(minimum)
+
+
+@pytest.mark.parametrize("bad", [None, "x", 5, []])
+def test_wrong_typed_instances_refused(bad):
+    # the election or graph argument of each entry point, with the error it raises
+    e = parse_election("2 2\na b\na>b\nb>a\n")
+    g = path_graph(3)
+    table = [
+        (lambda x: candidate_deletion(x, 1), AnalysisInputError, "election", "Election"),
+        (lambda x: candidate_partition(x, 3), AnalysisInputError, "election", "Election"),
+        (lambda x: maximum_independent_set(x), GraphError, "graph", "UndirectedGraph"),
+        (lambda x: exact_coloring(x, 3), GraphError, "graph", "UndirectedGraph"),
+        (lambda x: reduce_independent_set(x, 1), AnalysisInputError, "graph", "UndirectedGraph"),
+        (lambda x: reduce_coloring(x, 2), AnalysisInputError, "graph", "UndirectedGraph"),
+    ]
+    for call, error, what, kind in table:
+        with pytest.raises(error) as info:
+            call(bad)
+        assert str(info.value) == f"{what} must be of type {kind}, got {bad!r}"
+        call(e if kind == "Election" else g)
 
 
 def test_reduce_independent_set_refuses_more_than_every_vertex():

@@ -756,17 +756,97 @@ def test_degree_order_is_the_same_graph(g):
                zip(h.vertices, h.vertices[1:], degrees, degrees[1:]) if da == db)
 
 
+def mis_reference(nbr, budget, stop_at=None, within=None):
+    """`_mis_search` as it was before it branched only outside the cover's
+    first `room` cliques: it built up to `room` + 1 cliques to prune, then
+    branched on the highest-degree vertex of all the available ones."""
+    best_size, best_mask, nodes = -1 if stop_at is None else stop_at - 1, 0, 0
+    pool = (1 << len(nbr)) - 1 if within is None else within
+    stack = [(pool, 0, 0, pool)]
+    while stack:
+        avail, cur_mask, cur_size, touched = stack.pop()
+        nodes += 1
+        if nodes > budget:
+            return best_mask, False, nodes
+        while touched:
+            low = touched & -touched
+            touched ^= low
+            near = nbr[low.bit_length() - 1] & avail
+            far = near & (near - 1)
+            if far & (far - 1) == 0 and (not far or nbr[far.bit_length() - 1] & near):
+                cur_mask |= low
+                cur_size += 1
+                avail ^= low | near
+                if near:
+                    touched = (touched | nbr[near.bit_length() - 1]
+                               | nbr[(near & -near).bit_length() - 1]) & avail
+        if cur_size > best_size:
+            best_size, best_mask = cur_size, cur_mask
+            if stop_at is not None:
+                return best_mask, True, nodes
+        room = best_size - cur_size
+        if avail == 0 or avail.bit_count() <= room:
+            continue
+        cliques, rest = 0, avail
+        while rest and cliques <= room:
+            cliques += 1
+            grow = rest
+            while grow:
+                low = grow & -grow
+                rest ^= low
+                grow &= nbr[low.bit_length() - 1]
+        if cliques <= room:
+            continue
+        pick_deg, rest = -1, avail
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            d = (nbr[low.bit_length() - 1] & avail).bit_count()
+            if d > pick_deg:
+                bit, pick_deg = low, d
+        near = nbr[bit.bit_length() - 1] & avail
+        take, lost, rest = avail & ~(bit | near), 0, near
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            lost |= nbr[low.bit_length() - 1]
+        stack.append((avail ^ bit, cur_mask, cur_size, near))
+        stack.append((take, cur_mask | bit, cur_size + 1, lost & take))
+    return best_mask, True, nodes
+
+
+@given(graphs(max_v=40), st.integers(min_value=0, max_value=2**40 - 1),
+       st.integers(min_value=1, max_value=20))
+@settings(max_examples=100, deadline=None)
+def test_mis_search_decides_as_the_reference_does(g, pool, stop_at):
+    # the solve finds a set of the reference's size, and a probe within `pool`
+    # reaches `stop_at` exactly when the reference's does
+    nbr = _by_degree(g).adj
+    pool &= (1 << len(nbr)) - 1
+    for within, need in ((None, None), (pool, stop_at)):
+        found, complete, _ = _mis_search(nbr, DEFAULT_BUDGET, stop_at=need, within=within)
+        expected, expected_complete, _ = mis_reference(nbr, DEFAULT_BUDGET, need, within)
+        assert complete and expected_complete
+        assert not any(nbr[v] & found for v in _bits(found))
+        if within is None:
+            assert found.bit_count() == expected.bit_count()
+        else:
+            assert found & ~within == 0
+            assert (found.bit_count() >= need) == (expected.bit_count() >= need)
+
+
 # Search order: kept vertices, completeness and node counts of seeded
-# searches, written with the clique-cover bound, the triangle fold, the
-# ascending-degree order and DSATUR branching.
+# searches, written with the clique-cover bound, branching only outside the
+# cover's first `room` cliques, the triangle fold, the ascending-degree order
+# and DSATUR branching.
 MIS_PINS = [
-    ((30, 0.3, 1), 10_000_000, ([4, 8, 10, 13, 16, 17, 18, 26, 27, 28], True, 33)),
+    ((30, 0.3, 1), 10_000_000, ([4, 8, 10, 13, 16, 17, 18, 26, 27, 28], True, 23)),
     ((40, 0.2, 2), 10_000_000,
-     ([2, 4, 7, 10, 14, 20, 22, 23, 25, 26, 28, 31, 38], True, 55)),
-    ((25, 0.5, 3), 10_000_000, ([3, 4, 5, 9, 16, 17], True, 21)),
+     ([2, 4, 7, 10, 14, 20, 21, 22, 23, 25, 26, 28, 38], True, 35)),
+    ((25, 0.5, 3), 10_000_000, ([1, 5, 6, 12, 19, 21], True, 23)),
     ((90, 0.1, 4), 2000,
-     ([4, 7, 10, 11, 14, 16, 17, 19, 24, 27, 34, 37, 38, 42, 48, 49, 52, 55, 59, 60, 68,
-       69, 75, 76, 78, 80, 82, 83, 85, 87], False, 2001)),
+     ([4, 7, 10, 14, 16, 17, 23, 24, 27, 30, 31, 32, 34, 36, 37, 38, 48, 55, 65, 66, 68,
+       69, 76, 80, 81, 82, 83, 85, 86, 87], False, 2001)),
 ]
 
 
